@@ -10,7 +10,9 @@ from pathlib import Path
 
 from .poly import QQ, DomainError, InputError, PrimeField, render
 from .layout import build_layout, default_order, parse_order_file, parse_quiver
-from .minors import natural_generators, parse_minor_spec, render_minor_spec
+from .minors import (
+    ensure_consistent, natural_generators, parse_minor_spec, render_minor_spec,
+)
 from .groebner import buchberger_check, initial_ideal_gens, is_squarefree
 from . import spair, tensors
 
@@ -35,6 +37,7 @@ def _load_layout(args):
                 ord = parse_order_file(layout, opath.read_text())
             except OSError as exc:
                 raise InputError(f"cannot read order file: {exc}") from None
+            ensure_consistent(layout, ord)
         else:
             ord = default_order(layout)
         return layout, ord
@@ -60,8 +63,7 @@ def _check(layout, ord, field, args):
     polys = [p for _, p in natural_generators(layout, field)]
     report = buchberger_check(polys, ord,
                               coprime_skip=not args.no_coprime_skip,
-                              fail_fast=args.fail_fast,
-                              threads=args.threads)
+                              fail_fast=args.fail_fast)
     print(report.render(ord, layout.var_name, machine=True))
     return 0 if report.is_groebner else 1
 
@@ -191,7 +193,8 @@ def _add_quiver_flags(p):
 
 
 def _add_check_flags(p):
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="accepted for compatibility; selects nothing, the check is serial")
     p.add_argument("--no-coprime-skip", action="store_true")
     p.add_argument("--fail-fast", action="store_true")
 

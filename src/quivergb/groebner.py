@@ -3,7 +3,6 @@ and a textbook completion oracle for cross-validation."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .poly import (
@@ -40,41 +39,29 @@ def _check_pair(G, ord, i, j, coprime_skip):
     _, mi = leading_term(G[i], ord)
     _, mj = leading_term(G[j], ord)
     if coprime_skip and mono_gcd_is_one(mi, mj):
-        return (i, j, "skip", None)
+        return "skip", None
     rem, _ = reduce(s_polynomial(G[i], G[j], ord), G, ord)
     if rem.is_zero():
-        return (i, j, "zero", None)
-    return (i, j, "fail", rem)
+        return "zero", None
+    return "fail", rem
 
 
-def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False, threads=1):
-    """Reduce every S-pair of G by G; report aggregated in pair-index order."""
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    report = CheckReport(total_pairs=len(pairs))
-
-    def work(pair):
-        return _check_pair(G, ord, pair[0], pair[1], coprime_skip)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(work, pairs)
-            results = _consume(results, report, fail_fast)
-    else:
-        results = _consume(map(work, pairs), report, fail_fast)
-    return report
-
-
-def _consume(results, report, fail_fast):
-    for i, j, kind, rem in results:
-        if kind == "skip":
-            report.skipped_coprime += 1
-        elif kind == "zero":
-            report.reduced_to_zero += 1
-        else:
-            report.failures.append((i, j, rem))
-            if fail_fast:
-                report.complete = False
-                break
+def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
+    """Reduce every S-pair of G by G, in pair-index order."""
+    n = len(G)
+    report = CheckReport(total_pairs=n * (n - 1) // 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind, rem = _check_pair(G, ord, i, j, coprime_skip)
+            if kind == "skip":
+                report.skipped_coprime += 1
+            elif kind == "zero":
+                report.reduced_to_zero += 1
+            else:
+                report.failures.append((i, j, rem))
+                if fail_fast:
+                    report.complete = False
+                    return report
     return report
 
 

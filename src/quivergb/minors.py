@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .poly import (
-    QQ, DomainError, InputError, Polynomial, leading_term, mono_from,
-    poly_const, poly_mul_var,
+    QQ, DomainError, InputError, Polynomial, mono_from, poly_const,
+    poly_mul_var,
 )
 from .layout import validate_consistent
 
@@ -106,15 +106,16 @@ def expand_pseudominor(layout, ref, field=QQ):
     return _det_var_grid(_submatrix(layout, ref), field)
 
 
-_CONSISTENT_CACHE = {}
-
-
 def ensure_consistent(layout, ord):
-    key = (id(layout), id(ord))
-    if key not in _CONSISTENT_CACHE:
-        _CONSISTENT_CACHE[key] = not validate_consistent(ord, layout)
-    if not _CONSISTENT_CACHE[key]:
-        raise DomainError("order is not consistent with the layout")
+    """Validate ord against layout once; the order keeps the layout it passed."""
+    if ord.consistent_layout is layout:
+        return
+    bad = validate_consistent(ord, layout)
+    if bad:
+        gamma, a, b = bad[0]
+        raise DomainError(f"order is not consistent with the layout: vertex {gamma} "
+                          f"ranks entry {a} below entry {b}")
+    ord.consistent_layout = layout
 
 
 def minor_leading_term(layout, ref, ord, field=QQ):
@@ -159,8 +160,6 @@ def parse_minor_spec(text):
 
 
 def render_minor_spec(ref):
+    """CLI form of a MinorRef or PseudoMinorRef."""
     return f"{ref.vertex}:{','.join(map(str, ref.rows))};{','.join(map(str, ref.cols))}"
 
-
-def render_pseudominor_spec(ref):
-    return f"{ref.vertex}:{','.join(map(str, ref.rows))};{','.join(map(str, ref.cols))}"

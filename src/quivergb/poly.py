@@ -20,6 +20,12 @@ class DomainError(ValueError):
     """Operation applied outside its mathematical domain."""
 
 
+def require(ok, message):
+    """Raise DomainError(message) unless ok: an invariant check that ``python -O`` keeps."""
+    if not ok:
+        raise DomainError(message)
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 
@@ -86,10 +92,8 @@ class GFElement:
         return self * other ** -1
 
     def __pow__(self, n):
-        if n < 0:
-            if self.val == 0:
-                raise ZeroDivisionError("inverse of 0 in GF(p)")
-            return GFElement(pow(self.val, n, self.p), self.p)
+        if n < 0 and self.val == 0:
+            raise ZeroDivisionError("inverse of 0 in GF(p)")
         return GFElement(pow(self.val, n, self.p), self.p)
 
     def __bool__(self):
@@ -108,12 +112,31 @@ class GFElement:
     def __repr__(self):
         return f"{self.val} mod {self.p}"
 
+    def __str__(self):
+        return str(self.val)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461  # least strong pseudoprime to all of them
+
+
+def is_prime(n):
+    """Miller-Rabin with the first 12 prime bases, exact below 3.18e23 (> 2**78)."""
+    if n >= _MR_EXACT_BELOW:
+        raise InputError(f"{n} is too large to test for primality")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    return not any(pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s))
+                   for a in _MR_BASES)
+
 
 class PrimeField:
     """GF(p) coefficients, p a machine-word prime."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 << 11)) if q * q <= p):
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -196,10 +219,6 @@ def mono_vars(a):
     return frozenset(v for v, _ in a)
 
 
-def mono_degree(a):
-    return sum(e for _, e in a)
-
-
 def mono_is_squarefree(a):
     return all(e == 1 for _, e in a)
 
@@ -213,6 +232,7 @@ class OrderSpec:
         if sorted(self.rank.values()) != list(range(n)):
             raise InputError("ranks must be a permutation of 0..n-1")
         self.nvars = n
+        self.consistent_layout = None  # set by minors.ensure_consistent
 
     def rank_of(self, v):
         try:
@@ -226,15 +246,6 @@ class OrderSpec:
         for v, e in mono:
             vec[self.rank_of(v)] = e
         return tuple(vec)
-
-
-def mono_cmp(a, b, ord):
-    ka, kb = ord.key(a), ord.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +285,6 @@ class Polynomial:
         if not self.terms:
             return "Polynomial(0)"
         return "Polynomial(" + " ".join(f"{c}*{m}" for m, c in self.terms.items()) + ")"
-
-
-POLY_ZERO = Polynomial()
 
 
 def poly_from_terms(terms):
@@ -357,10 +365,6 @@ def leading_term(f, ord):
         raise DomainError("leading term of the zero polynomial")
     m = max(f.terms, key=ord.key)
     return f.terms[m], m
-
-
-def leading_monomial(f, ord):
-    return leading_term(f, ord)[1]
 
 
 def sorted_terms(f, ord):

@@ -24,13 +24,13 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .poly import (
-    QQ, DomainError, InputError, Polynomial, mono_divides, mono_div,
-    mono_from, mono_lcm, mono_mul, mono_vars, poly_add, poly_neg, poly_scale,
-    poly_sub, render, s_polynomial, sorted_terms, leading_term,
+    QQ, DomainError, InputError, Polynomial, mono_divides, mono_from,
+    mono_lcm, mono_vars, poly_add, poly_scale, poly_sub, require,
+    s_polynomial, sorted_terms, leading_term,
 )
 from .minors import (
     MinorRef, PseudoMinorRef, expand_minor, expand_pseudominor,
-    minor_leading_term, render_minor_spec, render_pseudominor_spec,
+    minor_leading_term, render_minor_spec,
 )
 
 
@@ -278,8 +278,6 @@ def _coprime_decomposition(layout, M, N, ord, field):
     pm_n = expand_minor(layout, N, field)
     cm, lm_m = leading_term(pm_m, ord)
     cn, lm_n = leading_term(pm_n, ord)
-    if not mono_divides(mono_from([]), mono_from([])):  # pragma: no cover
-        raise AssertionError
     unit = cm * cn
     row_terms = []
     for c, m in sorted_terms(pm_m, ord):
@@ -447,7 +445,7 @@ def _is_maximal_defect(an, kind, j, k, r, s, t):
         for k2 in sorted(second):
             if k2 > k or (j2, k2) == (j, k):
                 continue
-            if _violates_roles(an, kind, j2, k2, t):
+            if _violates(an, j2, k2, t):
                 return False
     # (ii) no tighter inner crossing with the same (j, k, t)
     first_only = first - second
@@ -461,12 +459,6 @@ def _is_maximal_defect(an, kind, j, k, r, s, t):
             if (s2, r2) != (s, r) and _defect_chain_ok(an, j, k, r2, s2, t):
                 return False
     return True
-
-
-def _violates_roles(an, kind, i, j, k):
-    """Violation with the role split given by the defect kind."""
-    v = _violates(an, i, j, k)
-    return v is not None
 
 
 def distance(layout, M, N, ord):
@@ -506,9 +498,9 @@ def _ref_from_points(layout, vertex, lattice_points):
     rows = tuple(p for p, _ in coords)
     cols_in_row_order = [q for _, q in coords]
     # NW-SE: sorting by row must also sort columns strictly
-    assert len(set(rows)) == len(coords), "transplant produced a repeated row"
-    assert all(cols_in_row_order[i] < cols_in_row_order[i + 1]
-               for i in range(len(coords) - 1)), "transplant points are not NW-SE"
+    require(len(set(rows)) == len(coords), "transplant produced a repeated row")
+    require(all(a < b for a, b in zip(cols_in_row_order, cols_in_row_order[1:])),
+            "transplant points are not NW-SE")
     return MinorRef(vertex, rows, tuple(sorted(cols_in_row_order)))
 
 
@@ -535,16 +527,17 @@ def transplant(layout, M, N, defect, ord):
         chosen = (m_list[1:j] + n_list[k:k + y1] + m_list[j + y1:])
     else:
         chosen = (n_list[1:k] + m_list[j:j + y2] + n_list[k + y2:])
-    assert len(chosen) == u
+    require(len(chosen) == u, "transplant changed the minor size")
     pts = [an.points[i - 1] for i in chosen]
     P = _ref_from_points(layout, M.vertex, pts)
     _, lm_p = minor_leading_term(layout, P, ord)
-    assert mono_divides(lm_p, an.L)
-    assert P != M and P != N
+    require(mono_divides(lm_p, an.L), "transplant leading term does not divide the lcm")
+    require(P != M and P != N, "transplant returned an end of the pair")
     d_mp = distance(layout, M, P, ord)
     d_pn = distance(layout, P, N, ord)
-    assert d_mp > 0 and d_pn > 0
-    assert d_mp + d_pn == distance(layout, M, N, ord)
+    require(d_mp > 0 and d_pn > 0, "transplant does not lie strictly between the pair")
+    require(d_mp + d_pn == distance(layout, M, N, ord),
+            "transplant distances do not add up")
     return P
 
 
@@ -564,10 +557,10 @@ def maximal_violation(layout, M, N, ord):
     j, k = best
     w1 = _first_incidence_after(an, m_list, j)
     w2 = _first_incidence_after(an, n_list, k)
-    assert w1 is not None and w2 is not None and m_list[w1] == n_list[w2], \
-        "first incidences after a minimal violation must coincide"
+    require(w1 is not None and w2 is not None and m_list[w1] == n_list[w2],
+            "first incidences after a minimal violation must coincide")
     v = _violates(an, m_list[j], n_list[k], m_list[w1])
-    assert v is not None, "incidence swap must preserve the violation"
+    require(v is not None, "incidence swap must preserve the violation")
     return v
 
 
@@ -590,13 +583,15 @@ def cross_transplant(layout, M, N, viol, ord):
     if w1 - j > w2 - k:
         raise InputError("w1-j exceeds w2-k: swap the roles of M and N first")
     chosen = m_list[1:j] + n_list[k:k + (w1 - j)] + m_list[w1:]
-    assert len(chosen) == u
+    require(len(chosen) == u, "cross transplant changed the minor size")
     pts = [an.points[i - 1] for i in chosen]
     P = _ref_from_points(layout, an.M.vertex, pts)
     _, lm_p = minor_leading_term(layout, P, ord)
-    assert mono_divides(lm_p, an.L)
-    assert (distance(layout, P, an.N, ord)
-            == distance(layout, an.M, an.N, ord) - 2 * (w1 - j))
+    require(mono_divides(lm_p, an.L),
+            "cross transplant leading term does not divide the lcm")
+    require(distance(layout, P, an.N, ord)
+            == distance(layout, an.M, an.N, ord) - 2 * (w1 - j),
+            "cross transplant does not shorten the distance")
     return P
 
 
@@ -613,7 +608,9 @@ def _mirror(d):
     return Decomposition(d.N, d.M, d.col_terms, d.row_terms)
 
 
-def _step_decomposition(layout, F, G, ord, field):
+def _small_step(layout, F, G, ord, field):
+    """The decomposition of one chain step: P(F,G) if its leading terms stay
+    below the lcm, else P(G,F) mirrored if its terms do, else None."""
     _, lf = minor_leading_term(layout, F, ord)
     _, lg = minor_leading_term(layout, G, ord)
     L = mono_lcm(lf, lg)
@@ -623,7 +620,7 @@ def _step_decomposition(layout, F, G, ord, field):
     d2 = p_decomposition(layout, G, F, ord, field)
     if has_small_lts(layout, d2, L, ord, field):
         return _mirror(d2)
-    raise DomainError("no small-leading-term decomposition for a chain step")
+    return None
 
 
 def _pick_defect(layout, F, G, ord):
@@ -646,21 +643,16 @@ def _pick_defect(layout, F, G, ord):
 
 
 def _same_matrix_chain(layout, F, G, ord, field):
+    """Refs from F to G, and the accepted decomposition of each adjacent pair."""
     if F == G:
-        return [F]
-    _, lf = minor_leading_term(layout, F, ord)
-    _, lg = minor_leading_term(layout, G, ord)
-    L = mono_lcm(lf, lg)
-    d = p_decomposition(layout, F, G, ord, field)
-    if has_small_lts(layout, d, L, ord, field):
-        return [F, G]
-    d2 = p_decomposition(layout, G, F, ord, field)
-    if has_small_lts(layout, d2, L, ord, field):
-        return [F, G]
+        return [F], []
+    d = _small_step(layout, F, G, ord, field)
+    if d is not None:
+        return [F, G], [d]
     P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
-    left = _same_matrix_chain(layout, F, P, ord, field)
-    right = _same_matrix_chain(layout, P, G, ord, field)
-    return left[:-1] + right
+    left_refs, left_steps = _same_matrix_chain(layout, F, P, ord, field)
+    right_refs, right_steps = _same_matrix_chain(layout, P, G, ord, field)
+    return left_refs[:-1] + right_refs, left_steps + right_steps
 
 
 def _diagonal_minors_dividing(layout, vertex, L, size):
@@ -681,27 +673,25 @@ def _diagonal_minors_dividing(layout, vertex, L, size):
 
 
 def build_chain(layout, M, N, ord, field=QQ):
-    if M == N:
-        return ChainCertificate([M], [])
     if M.vertex == N.vertex:
-        refs = _same_matrix_chain(layout, M, N, ord, field)
-    else:
-        _, lm = minor_leading_term(layout, M, ord)
-        _, ln = minor_leading_term(layout, N, ord)
-        L = mono_lcm(lm, ln)
-        cand_m = _diagonal_minors_dividing(layout, M.vertex, L, M.size)
-        cand_n = _diagonal_minors_dividing(layout, N.vertex, L, N.size)
-        best = min(
-            ((distance(layout, a, b, ord), a.rows, a.cols, b.rows, b.cols, a, b)
-             for a in cand_m for b in cand_n),
-            key=lambda t: t[:5])
-        M2, N2 = best[5], best[6]
-        left = _same_matrix_chain(layout, M, M2, ord, field)
-        right = _same_matrix_chain(layout, N2, N, ord, field)
-        refs = left + right
-    steps = [_step_decomposition(layout, refs[i], refs[i + 1], ord, field)
-             for i in range(len(refs) - 1)]
-    return ChainCertificate(refs, steps)
+        return ChainCertificate(*_same_matrix_chain(layout, M, N, ord, field))
+    _, lm = minor_leading_term(layout, M, ord)
+    _, ln = minor_leading_term(layout, N, ord)
+    L = mono_lcm(lm, ln)
+    cand_m = _diagonal_minors_dividing(layout, M.vertex, L, M.size)
+    cand_n = _diagonal_minors_dividing(layout, N.vertex, L, N.size)
+    best = min(
+        ((distance(layout, a, b, ord), a.rows, a.cols, b.rows, b.cols, a, b)
+         for a in cand_m for b in cand_n),
+        key=lambda t: t[:5])
+    M2, N2 = best[5], best[6]
+    left_refs, left_steps = _same_matrix_chain(layout, M, M2, ord, field)
+    right_refs, right_steps = _same_matrix_chain(layout, N2, N, ord, field)
+    # _same_matrix_chain accepted every other step; only the bridge crosses vertices
+    bridge = _small_step(layout, M2, N2, ord, field)
+    if bridge is None:
+        raise DomainError("no small-leading-term decomposition for a chain step")
+    return ChainCertificate(left_refs + right_refs, left_steps + [bridge] + right_steps)
 
 
 def verify_chain(layout, cert, ord, field=QQ):
@@ -796,7 +786,7 @@ def render_decomposition(layout, d, ord):
                            sorted(t.cofactor, key=lambda p: ord.rank_of(p[0]))
                            for _ in range(e))
             bits.append(f"[{'+' if t.sign > 0 else '-'} {cof or '1'} "
-                        f"pm {render_pseudominor_spec(t.pm)}]")
+                        f"pm {render_minor_spec(t.pm)}]")
         return " ".join(bits)
 
     return f"rows: {side(d.row_terms)}\ncols: {side(d.col_terms)}"

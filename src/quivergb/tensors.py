@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .poly import (
-    QQ, DomainError, InputError, OrderSpec, Polynomial, poly_const,
-    poly_mul, poly_neg, poly_sub, poly_var,
+    QQ, DomainError, InputError, OrderSpec, poly_mul, poly_neg, poly_var,
+    require,
 )
 from .layout import QuiverSpec, build_layout, default_order
 from .minors import natural_generators
@@ -206,12 +206,15 @@ def matrix_rank(M):
 
 
 def det_poly_matrix(M):
-    """Determinant of a square matrix of polynomials (DP over column masks)."""
+    """Determinant of a square matrix of polynomials (DP over column masks).
+
+    The DP starts from the first row rather than from a constant 1, so it
+    works over any coefficient field."""
     n = len(M)
-    if any(len(row) != n for row in M):
-        raise InputError("determinant needs a square matrix")
-    prev = {0: poly_const(Fraction(1))}
-    for i in range(n):
+    if not n or any(len(row) != n for row in M):
+        raise InputError("determinant needs a nonempty square matrix")
+    prev = {1 << j: M[0][j] for j in range(n)}
+    for i in range(1, n):
         nxt = {}
         for mask, sub in prev.items():
             for j in range(n):
@@ -271,10 +274,11 @@ def witness_tensor(m, n, r, u, v, w):
     r1 = matrix_rank(flatten(T, 1))
     r2 = matrix_rank(flatten(T, 2))
     r3 = matrix_rank(flatten(T, 3))
-    assert r1 <= u - 1 and r2 <= v - 1
-    assert r3 == min((u - 1) * (v - 1), r) > w - 1
+    require(r1 <= u - 1 and r2 <= v - 1, "witness flattening ranks exceed (u-1, v-1)")
+    require(r3 == min((u - 1) * (v - 1), r) > w - 1,
+            "witness third flattening rank is not min((u-1)(v-1), r)")
     if (u - 1) * (v - 1) <= r:
-        assert (r1, r2) == (u - 1, v - 1)
+        require((r1, r2) == (u - 1, v - 1), "witness flattening ranks are not (u-1, v-1)")
     return T
 
 

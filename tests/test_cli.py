@@ -14,6 +14,17 @@ def quiver_file(tmp_path):
     return str(p)
 
 
+def order_quiver(tmp_path, reverse):
+    """KEY_Q with an order file: the page-major default order, or its reverse."""
+    names = [f"x[{i},{j},1]" for i in range(1, 4) for j in range(1, 4)]
+    ranks = range(8, -1, -1) if reverse else range(9)
+    (tmp_path / "order.txt").write_text(
+        "".join(f"{n} {r}\n" for n, r in zip(names, ranks)))
+    p = tmp_path / "ordered.q"
+    p.write_text(KEY_Q + "order order.txt\n")
+    return str(p)
+
+
 @pytest.fixture()
 def tensor_file(tmp_path):
     p = tmp_path / "tex.t"
@@ -56,6 +67,15 @@ class TestCheck:
         _, out4, _ = run(capsys, "check", "--quiver", quiver_file, "--threads", "4")
         assert out1 == out4
 
+    @pytest.mark.parametrize("verb", ["check", "gens", "init-ideal"])
+    def test_reversed_order_file_refused(self, capsys, tmp_path, verb):
+        code, out, err = run(capsys, verb, "--quiver", order_quiver(tmp_path, True))
+        assert code == 2 and out == "" and "not consistent" in err
+
+    def test_consistent_order_file_accepted(self, capsys, tmp_path, quiver_file):
+        code, out, _ = run(capsys, "check", "--quiver", order_quiver(tmp_path, False))
+        assert code == 0 and out == run(capsys, "check", "--quiver", quiver_file)[1]
+
     def test_no_coprime_skip(self, capsys, quiver_file):
         code, out, _ = run(capsys, "check", "--quiver", quiver_file,
                            "--no-coprime-skip")
@@ -80,9 +100,34 @@ class TestDouble:
         assert code == 0 and "verdict: GROEBNER" in out
 
     def test_bad_field(self, capsys):
-        code, _, err = run(capsys, "double", "--m", "2", "--n", "2", "--r", "2",
-                           "--u", "2", "--v", "2", "check", "--field", "6")
-        assert code == 2 and "not prime" in err
+        for p, message in [
+            ("6", "not prime"),
+            ("4214809", "not prime"),  # 2053**2: no prime factor below 2048
+            ("3215031751", "not prime"),  # strong pseudoprime to bases 2, 3, 5, 7
+            ("318665857834031151167461", "too large"),  # fools all twelve bases
+        ]:
+            code, _, err = run(capsys, "double", "--m", "2", "--n", "2", "--r", "2",
+                               "--u", "2", "--v", "2", "check", "--field", p)
+            assert code == 2 and message in err, p
+
+    def test_gf_residues_print_bare(self, capsys):
+        code, out, _ = run(capsys, "double", "--m", "2", "--n", "2", "--r", "2",
+                           "--u", "2", "--v", "2", "gens", "--field", "7")
+        assert code == 0 and "mod" not in out
+        assert out.splitlines()[0] == "1:1,2;1,2 +x[1,1,1]*x[2,2,1]+6*x[1,2,1]*x[2,1,1]"
+
+    def test_cross_vertex_certificate_golden(self, capsys):
+        # pins the step bodies, which the certify summary lines do not show
+        code, out, _ = run(capsys, "double", "--m", "3", "--n", "3", "--r", "2",
+                           "--u", "2", "--v", "2", "certify", "--pairs", "1,66")
+        assert code == 0
+        assert out == (
+            "pair 1 66 chain 4 verified true\n"
+            "chain 1:1,2;1,3 1:1,2;1,2 2:1,2;1,2 2:2,3;2,4\n"
+            "step 0: rows: (empty) ; cols: [- x[2,1,1] pm 1:1,2;2,3]\n"
+            "step 1: rows: (empty) ; cols: (empty)\n"
+            "step 2: rows: [- x[2,1,1] pm 2:1,3;2,4] ; cols: [- x[3,2,1] pm 2:1,2;1,4]\n"
+            "certified: 1/1\n")
 
 
 class TestSpair:
@@ -166,6 +211,12 @@ class TestTripleEq:
         assert code == 0
         assert "predicted different" in out and "witness ranks 1 2 2" in out
 
+    def test_equal_over_prime_field(self, capsys):
+        code, out, _ = run(capsys, "triple-eq", "--m", "2", "--n", "2", "--r", "2",
+                           "--u", "2", "--v", "2", "--w", "2", "--field", "7")
+        assert code == 0
+        assert out == "predicted equal\nreduced 6/6\nverified true\n"
+
     def test_bounds(self, capsys):
         code, _, err = run(capsys, "triple-eq", "--m", "2", "--n", "2", "--r", "2",
                            "--u", "9", "--v", "2", "--w", "2")
@@ -179,6 +230,12 @@ class TestIndep:
         assert code == 0
         assert "+p[1,1]*p[2,2]-p[1,2]*p[2,1]" in out
         assert "generators 1" in out
+
+    def test_prime_field(self, capsys):
+        code, out, _ = run(capsys, "indep", "--shape", "2,2",
+                           "--statements", "1_2", "--field", "7")
+        assert code == 0
+        assert out == "+p[1,1]*p[2,2]+6*p[1,2]*p[2,1]\ngenerators 1\n"
 
     def test_bad_statement(self, capsys):
         code, _, err = run(capsys, "indep", "--shape", "2,2",

@@ -26,14 +26,6 @@ class TestCheck:
         report = buchberger_check(polys_of(layout), ord)
         assert report.is_groebner and report.total_pairs == 45
 
-    def test_threads_do_not_change_report(self, double_2x2):
-        layout, ord = double_2x2
-        G = polys_of(layout)
-        a = buchberger_check(G, ord, threads=1)
-        b = buchberger_check(G, ord, threads=4)
-        assert a.render(ord, layout.var_name, machine=True) == \
-            b.render(ord, layout.var_name, machine=True)
-
     def test_coprime_skip_toggle(self, double_2x2):
         layout, ord = double_2x2
         G = polys_of(layout)

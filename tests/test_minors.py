@@ -1,12 +1,12 @@
 import pytest
 
-from quivergb.layout import build_layout, parse_order_file, parse_quiver
+from quivergb.layout import build_layout, default_order, parse_order_file, parse_quiver
 from quivergb.minors import (
     MinorRef, PseudoMinorRef, enumerate_minors, expand_minor,
     expand_pseudominor, minor_leading_term, minor_points, natural_generators,
     parse_minor_spec, render_minor_spec,
 )
-from quivergb.poly import DomainError, InputError, leading_term, render
+from quivergb.poly import DomainError, InputError, OrderSpec, leading_term, render
 
 
 class TestRefs:
@@ -67,6 +67,19 @@ class TestLeadingTerm:
             layout, "\n".join(f"{layout.var_name(v)} {n - 1 - v}" for v in range(n)))
         with pytest.raises(DomainError, match="consistent"):
             minor_leading_term(layout, MinorRef(2, (1, 2), (1, 2)), rev)
+
+    def test_fresh_inconsistent_order_refused_after_a_dropped_one(self, double_2x2):
+        # a validated order that is freed must not vouch for a new order,
+        # even when the new one reuses its memory
+        layout, _ = double_2x2
+        n = layout.nvars
+        ref = MinorRef(2, (1, 2), (1, 2))
+        for _ in range(20):
+            minor_leading_term(layout, ref, default_order(layout))
+            rev = OrderSpec({v: n - 1 - v for v in range(n)})
+            with pytest.raises(DomainError, match="consistent"):
+                minor_leading_term(layout, ref, rev)
+            del rev
 
 
 class TestGenerators:

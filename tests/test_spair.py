@@ -7,7 +7,7 @@ from quivergb.minors import (
     minor_leading_term, natural_generators,
 )
 from quivergb.poly import (
-    InputError, mono_divides, mono_from, mono_lcm, poly_add, render,
+    DomainError, InputError, mono_divides, mono_from, mono_lcm, poly_add, render,
     s_polynomial,
 )
 from quivergb import spair
@@ -235,6 +235,11 @@ class TestDefectsAndTransplant:
         P = spair.transplant(layout, DEF_N, DEF_M, d, ord)
         assert P == MinorRef(2, (2, 4, 5), (1, 3, 5))
 
+    def test_non_nw_se_points_refused(self, single_3x3):
+        layout, _ = single_3x3
+        with pytest.raises(DomainError, match="NW-SE"):
+            spair._ref_from_points(layout, 2, [(1, 2, 1), (2, 1, 1)])
+
     def test_non_maximal_refused(self, single_5x5):
         layout, ord = single_5x5
         d = spair.find_defects(layout, DEF_M, DEF_N, ord)[0]
@@ -346,3 +351,14 @@ class TestChains:
         text = spair.render_certificate(layout, cert, ord)
         assert text.startswith("chain 2:2,3;1,3 2:1,3;2,3")
         assert "step 0:" in text
+
+    def test_render_transplant_certificate_golden(self, single_5x5):
+        # pins the step bodies, which the certify summary lines do not show
+        layout, ord = single_5x5
+        cert = spair.build_chain(layout, DEF_M, DEF_N, ord)
+        assert spair.render_certificate(layout, cert, ord) == (
+            "chain 2:1,4,5;2,3,5 2:2,4,5;1,3,5 2:2,3,5;1,4,5\n"
+            "step 0: rows: [- x[1,3,1] pm 2:2,4,5;1,2,5] [+ x[1,5,1] pm 2:2,4,5;1,2,3]"
+            " ; cols: [- x[4,1,1] pm 2:1,2,5;2,3,5] [+ x[5,1,1] pm 2:1,2,4;2,3,5]\n"
+            "step 1: rows: [- x[5,3,1] pm 2:2,3,4;1,4,5] [- x[2,3,1] pm 2:4,3,5;1,4,5]"
+            " ; cols: [- x[3,5,1] pm 2:2,4,5;1,3,4] [- x[3,1,1] pm 2:2,4,5;4,3,5]")

@@ -4,7 +4,10 @@ from itertools import product
 import pytest
 
 from quivergb import tensors as T
-from quivergb.poly import InputError, Polynomial, poly_neg, render
+from quivergb.poly import (
+    QQ, InputError, Polynomial, PrimeField, poly_mul, poly_neg, poly_sub, poly_var,
+    render,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,18 @@ class TestWitness:
     def test_refused_when_equality_holds(self):
         with pytest.raises(InputError, match="no witness"):
             T.witness_tensor(2, 2, 2, 2, 2, 2)
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_two_by_two(self, field):
+        a, b, c, d = (poly_var(v, field) for v in range(4))
+        assert T.det_poly_matrix([[a, b], [c, d]]) == \
+            poly_sub(poly_mul(a, d), poly_mul(b, c))
+
+    def test_empty_refused(self):
+        with pytest.raises(InputError):
+            T.det_poly_matrix([])
 
 
 class TestTripleEq:
