@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .poly import (
     DomainError, leading_term, mono_divides, mono_gcd_is_one,
-    mono_is_squarefree, poly_scale, reduce, render, s_polynomial,
+    mono_is_squarefree, poly_scale, prepared, reduce, render, s_polynomial,
 )
 
 
@@ -35,24 +35,24 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _check_pair(G, ord, i, j, coprime_skip):
-    _, mi = leading_term(G[i], ord)
-    _, mj = leading_term(G[j], ord)
-    if coprime_skip and mono_gcd_is_one(mi, mj):
+def _check_pair(basis, ord, i, j, coprime_skip):
+    if coprime_skip and mono_gcd_is_one(basis.lts[i][1], basis.lts[j][1]):
         return "skip", None
-    rem, _ = reduce(s_polynomial(G[i], G[j], ord), G, ord)
+    G = basis.polys
+    rem, _ = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
     if rem.is_zero():
         return "zero", None
     return "fail", rem
 
 
 def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
-    """Reduce every S-pair of G by G, in pair-index order."""
-    n = len(G)
+    """Reduce every S-pair of G (a list or a PreparedBasis) by G, in pair-index order."""
+    basis = prepared(G, ord)
+    n = len(basis.polys)
     report = CheckReport(total_pairs=n * (n - 1) // 2)
     for i in range(n):
         for j in range(i + 1, n):
-            kind, rem = _check_pair(G, ord, i, j, coprime_skip)
+            kind, rem = _check_pair(basis, ord, i, j, coprime_skip)
             if kind == "skip":
                 report.skipped_coprime += 1
             elif kind == "zero":
@@ -85,7 +85,9 @@ def is_squarefree(monos):
 
 
 def ideal_membership(f, G, ord, report=None):
-    """True iff f reduces to zero; requires a passing CheckReport for G."""
+    """True iff f reduces to zero; requires a passing CheckReport for G.
+
+    G may be a PreparedBasis, so that many calls share one preparation."""
     if report is None:
         report = buchberger_check(G, ord)
     if not report.is_groebner:

@@ -10,6 +10,8 @@ vector read in rank order.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 
 class InputError(ValueError):
@@ -381,42 +383,90 @@ def s_polynomial(f, g, ord):
     return poly_sub(left, right)
 
 
+class PreparedBasis:
+    """The generators of a division, with what every division by them needs
+    worked out once: their leading terms, and a map from each variable to
+    the generators anchored at it (one variable of the leading monomial).
+
+    Natural generators have squarefree diagonal leading monomials, so a term
+    m has few candidate divisors: those anchored at one of m's variables.
+    """
+
+    __slots__ = ("polys", "ord", "lts", "_anchored", "_const")
+
+    def __init__(self, G, ord):
+        self.polys = list(G)
+        self.ord = ord
+        self.lts = []  # (coeff, monomial) of each generator's leading term
+        self._anchored = {}  # var -> [(index, leading monomial)], indices ascending
+        self._const = None  # lowest index with a constant leading monomial
+        for idx, g in enumerate(self.polys):
+            if g.is_zero():
+                raise DomainError("zero generator in division")
+            lt = leading_term(g, ord)
+            self.lts.append(lt)
+            lm = lt[1]
+            if lm:
+                self._anchored.setdefault(lm[0][0], []).append((idx, lm))
+            elif self._const is None:
+                self._const = idx  # a constant divides every monomial
+
+    def divisor(self, m):
+        """Lowest index whose leading monomial divides m, or None."""
+        best = self._const
+        exps = dict(m)
+        for v in exps:
+            for idx, lm in self._anchored.get(v, ()):
+                if best is not None and idx >= best:
+                    break
+                for w, e in lm:
+                    if exps.get(w, 0) < e:
+                        break
+                else:  # lm divides m
+                    best = idx
+                    break
+        return best
+
+
+def prepared(G, ord):
+    """G itself when it is a PreparedBasis for ord, else G prepared for ord."""
+    if isinstance(G, PreparedBasis):
+        require(G.ord is ord, "basis was prepared under another order")
+        return G
+    return PreparedBasis(G, ord)
+
+
 def reduce(f, G, ord):
-    """Multivariate division of f by the list G.
+    """Multivariate division of f by G, a list of polynomials or a PreparedBasis.
 
     Returns (remainder, used) with used a list of ((coeff, monomial), index)
     such that f == sum(cofactor * G[index]) + remainder and no remainder term
     is divisible by any LM(g).  Deterministic: the largest reducible term is
     cancelled first, by the lowest-index eligible generator.
     """
-    lts = []
-    for g in G:
-        if g.is_zero():
-            raise DomainError("zero generator in division")
-        lts.append(leading_term(g, ord))
+    basis = prepared(G, ord)
+    key = ord.key
     work = dict(f.terms)
+    # Max-heap of monomials by the negated dense key.  A step cancels its
+    # target and adds only smaller monomials, so each monomial is pushed
+    # once and popped after every larger one is settled.
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
+    queued = set(work)
     used = []
-    # monomials already known irreducible; skip rescanning them
-    dead = set()
-    while True:
-        target = None
-        for m in sorted(work, key=ord.key, reverse=True):
-            if m in dead:
-                continue
-            for idx, (lc, lm) in enumerate(lts):
-                if mono_divides(lm, m):
-                    target = (m, idx, lc, lm)
-                    break
-            if target:
-                break
-            dead.add(m)
-        if target is None:
-            break
-        m, idx, lc, lm = target
-        cof_c = work[m] / lc
+    while heap:
+        m = heappop(heap)[1]
+        c = work.get(m)
+        if c is None:  # cancelled since it was queued
+            continue
+        idx = basis.divisor(m)
+        if idx is None:  # irreducible: it stays in the remainder
+            continue
+        lc, lm = basis.lts[idx]
+        cof_c = c / lc
         cof_m = mono_div(m, lm)
         used.append(((cof_c, cof_m), idx))
-        for gm, gc in G[idx].terms.items():
+        for gm, gc in basis.polys[idx].terms.items():
             mm = mono_mul(cof_m, gm)
             delta = cof_c * gc
             if mm in work:
@@ -427,6 +477,9 @@ def reduce(f, G, ord):
                     del work[mm]
             elif delta:
                 work[mm] = -delta
+                if mm not in queued:
+                    queued.add(mm)
+                    heappush(heap, (tuple(map(neg, key(mm))), mm))
     return Polynomial(work), used
 
 

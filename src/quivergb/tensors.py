@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .poly import (
-    QQ, DomainError, InputError, OrderSpec, poly_mul, poly_neg, poly_var,
-    require,
+    QQ, DomainError, InputError, OrderSpec, PreparedBasis, poly_mul, poly_neg,
+    poly_var, require,
 )
 from .layout import QuiverSpec, build_layout, default_order
 from .minors import natural_generators
@@ -334,8 +334,8 @@ def triple_eq_check(m, n, r, u, v, w, field=QQ):
     if predicted:
         layout, gens = double_det_generators(m, n, r, u, v, field)
         ord = default_order(layout)
-        polys = [p for _, p in gens]
-        report = buchberger_check(polys, ord)
+        basis = PreparedBasis([p for _, p in gens], ord)
+        report = buchberger_check(basis, ord)
         if not report.is_groebner:  # pragma: no cover - theorem
             return TripleEqResult(True, False, {"reason": "basis check failed"})
         grid = [[poly_var(layout.var_of[(i, j, k)], field)
@@ -345,7 +345,7 @@ def triple_eq_check(m, n, r, u, v, w, field=QQ):
         extra = _poly_minors(grid, w)
         reduced = 0
         for g in extra:
-            if not ideal_membership(g, polys, ord, report):
+            if not ideal_membership(g, basis, ord, report):
                 return TripleEqResult(True, False,
                                       {"reduced": reduced, "total": len(extra)})
             reduced += 1
@@ -427,18 +427,7 @@ def independence_ideal(shape, statements, field=QQ):
     ideal expressing the given independence statements on a joint table."""
     shape = tuple(shape)
     sym = symbolic_tensor(shape, field)
-    out = []
-    seen = []
-
-    def add(gens):
-        for g in gens:
-            if g.is_zero():
-                continue
-            if any(g == h or g == poly_neg(h) for h in seen):
-                continue
-            seen.append(g)
-            out.append(g)
-
+    found = []
     for st in statements:
         st.validate(len(shape))
         if st.kind == "marginal":
@@ -447,9 +436,9 @@ def independence_ideal(shape, statements, field=QQ):
             grid = _as_matrix(M2)
             if st.a > st.b:
                 grid = _transpose(grid)
-            add(_poly_minors(grid, 2))
+            found += _poly_minors(grid, 2)
         elif st.kind == "saturated":
-            add(_poly_minors(flatten(sym, st.a), 2))
+            found += _poly_minors(flatten(sym, st.a), 2)
         elif st.kind == "conditional":
             for piece in scan(sym, st.c):
                 rest_axes = [x for x in range(1, len(shape) + 1) if x != st.c]
@@ -460,9 +449,25 @@ def independence_ideal(shape, statements, field=QQ):
                 grid = _as_matrix(slab)
                 if a_pos > b_pos:
                     grid = _transpose(grid)
-                add(_poly_minors(grid, 2))
+                found += _poly_minors(grid, 2)
         else:  # hidden
-            add(_poly_minors(flatten(sym, st.a), st.states + 1))
+            found += _poly_minors(flatten(sym, st.a), st.states + 1)
+    return _unique_up_to_sign(found)
+
+
+def _unique_up_to_sign(polys):
+    """The nonzero polys in first-seen order, dropping any equal to a kept
+    one or to its negative."""
+    out = []
+    seen = set()  # term sets of the kept polys
+    for g in polys:
+        if g.is_zero():
+            continue
+        key = frozenset(g.terms.items())
+        if key in seen or frozenset(poly_neg(g).terms.items()) in seen:
+            continue
+        seen.add(key)
+        out.append(g)
     return out
 
 

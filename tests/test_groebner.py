@@ -6,8 +6,8 @@ from quivergb.groebner import (
 )
 from quivergb.minors import MinorRef, expand_minor, natural_generators
 from quivergb.poly import (
-    DomainError, OrderSpec, leading_term, mono_from, poly_add, poly_mul,
-    poly_sub, poly_var,
+    DomainError, OrderSpec, PreparedBasis, leading_term, mono_from, poly_add,
+    poly_mul, poly_sub, poly_var,
 )
 
 
@@ -42,6 +42,30 @@ class TestCheck:
         report = buchberger_check(G, ord)
         assert not report.is_groebner
         assert "NOT A GROEBNER" in report.render()
+
+    def test_failure_lines_golden(self):
+        # recorded with the sort-and-scan division that the prepared basis replaced
+        ord = OrderSpec({0: 0, 1: 1, 2: 2, 3: 3})
+        x, y, z, w = (poly_var(v) for v in range(4))
+        namer = "xyzw".__getitem__
+        G = [poly_sub(poly_mul(x, y), z), poly_sub(poly_mul(x, z), w)]
+        assert buchberger_check(G, ord).render(ord, namer, machine=True) == (
+            "pairs: 1  coprime-skipped: 0  reduced-to-zero: 0  failures: 1\n"
+            "verdict: NOT A GROEBNER BASIS\n"
+            "pair 0 1 FAIL +y*w-z*z")
+        G.append(poly_sub(poly_mul(y, w), z))
+        assert buchberger_check(G, ord).render(ord, namer, machine=True) == (
+            "pairs: 3  coprime-skipped: 1  reduced-to-zero: 0  failures: 2\n"
+            "verdict: NOT A GROEBNER BASIS\n"
+            "pair 0 1 FAIL -z*z+z\n"
+            "pair 0 2 FAIL -z*w+w")
+
+    def test_prepared_basis_gives_the_same_report(self, double_2x2):
+        layout, ord = double_2x2
+        G = polys_of(layout)
+        basis = PreparedBasis(G, ord)
+        assert buchberger_check(basis, ord) == buchberger_check(G, ord)
+        assert ideal_membership(poly_mul(G[0], G[1]), basis, ord)
 
     def test_fail_fast_stops(self):
         ord = OrderSpec({0: 0, 1: 1, 2: 2, 3: 3})

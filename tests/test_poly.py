@@ -1,13 +1,18 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quivergb.layout import default_order
 from quivergb.poly import (
-    QQ, DomainError, InputError, OrderSpec, Polynomial, PrimeField,
-    leading_term, mono_div, mono_divides, mono_from, mono_gcd_is_one,
-    mono_lcm, mono_mul, poly_add, poly_from_terms, poly_mul, poly_scale,
-    poly_sub, poly_var, reduce, render, s_polynomial, sorted_terms,
+    QQ, DomainError, InputError, OrderSpec, Polynomial, PreparedBasis,
+    PrimeField, leading_term, mono_div, mono_divides, mono_from,
+    mono_gcd_is_one, mono_lcm, mono_mul, poly_add, poly_const,
+    poly_from_terms, poly_mul, poly_scale, poly_sub, poly_var, reduce,
+    render, s_polynomial, sorted_terms,
 )
+from quivergb.tensors import double_det_generators
 
 
 def m(*pairs):
@@ -92,6 +97,63 @@ class TestDivision:
         lms = [leading_term(g, ORD3)[1] for g in G]
         assert all(not mono_divides(lm, mo) for mo in rem.terms for lm in lms)
 
+    def test_lowest_index_divisor_wins(self):
+        x, y, z, w = (poly_var(v) for v in range(4))
+        ord = OrderSpec({0: 0, 1: 1, 2: 2, 3: 3})
+        # the same leading monomial x*y: index 0 always cancels it
+        G = [poly_sub(poly_mul(x, y), z), poly_sub(poly_mul(x, y), w)]
+        for f in (poly_mul(x, y), poly_mul(poly_mul(x, y), poly_mul(z, w))):
+            _, used = reduce(f, G, ord)
+            assert used[0][1] == 0
+        # both divide x*y*z; index 0 (y*z) is indexed under y, index 1 (x)
+        # under x, which the lookup reaches first
+        G = [poly_sub(poly_mul(y, z), w), poly_sub(x, w)]
+        _, used = reduce(poly_mul(x, poly_mul(y, z)), G, ord)
+        assert used[0] == ((Fraction(1), m((0, 1))), 0)
+
+    def test_constant_generator_divides_everything(self):
+        x, y = poly_var(0), poly_var(1)
+        f = poly_add(poly_mul(x, y), poly_const(Fraction(5)))
+        rem, used = reduce(f, [poly_sub(x, y), poly_const(Fraction(2))], ORD3)
+        # x*y by x - y; then y*y and 5 by the constant
+        assert rem.is_zero()
+        assert [idx for _, idx in used] == [0, 1, 1]
+        basis = PreparedBasis([poly_const(Fraction(3)), x], ORD3)
+        assert basis.divisor(m((0, 1))) == 0 and basis.divisor(()) == 0
+
+    def test_zero_generator_refused(self):
+        G = [poly_var(0), Polynomial()]
+        with pytest.raises(DomainError, match="zero generator in division"):
+            reduce(poly_var(0), G, ORD3)
+        with pytest.raises(DomainError, match="zero generator in division"):
+            PreparedBasis(G, ORD3)
+
+    def test_prepared_basis_bound_to_its_order(self):
+        x, y = poly_var(0), poly_var(1)
+        basis = PreparedBasis([poly_sub(x, y)], ORD3)
+        assert reduce(x, basis, ORD3) == reduce(x, [poly_sub(x, y)], ORD3)
+        with pytest.raises(DomainError):
+            reduce(x, basis, OrderSpec({0: 2, 1: 1, 2: 0}))
+
+    def test_pencil_s_pairs_match_recorded_divisions(self):
+        # sha256 over every S-pair of the (3,3,2,2,2) pencil of
+        # repr((i, j, sorted remainder terms, used)), recorded with the
+        # sort-and-scan division that the prepared basis replaced
+        layout, gens = double_det_generators(3, 3, 2, 2, 2)
+        ord = default_order(layout)
+        G = [p for _, p in gens]
+        basis = PreparedBasis(G, ord)
+        digest = hashlib.sha256()
+        steps = 0
+        for i in range(len(G)):
+            for j in range(i + 1, len(G)):
+                rem, used = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
+                steps += len(used)
+                digest.update(repr((i, j, sorted(rem.terms.items()), used)).encode())
+        assert steps == 9027
+        assert digest.hexdigest() == \
+            "75d30ed9565c54f8b48c9d26902648139456814c567e940e7c7832bb5696245b"
+
     def test_s_polynomial_cancels_leads(self):
         x, y = poly_var(0), poly_var(1)
         f = poly_add(poly_mul(x, y), poly_var(2))
@@ -100,6 +162,40 @@ class TestDivision:
         big = mono_lcm(m((0, 1), (1, 1)), m((1, 2)))
         _, lm = leading_term(s, ORD3)
         assert ORD3.key(lm) < ORD3.key(big)
+
+
+NVARS = 4
+
+
+@st.composite
+def division_problems(draw):
+    """(f, G, ord) with random ranks, QQ or GF(7), non-homogeneous
+    polynomials and possibly constant generators."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    ranks = draw(st.permutations(range(NVARS)))
+    monos = st.lists(st.tuples(st.integers(0, NVARS - 1), st.integers(0, 2)),
+                     max_size=3).map(mono_from)
+    polys = st.lists(st.tuples(st.integers(-4, 4).map(field.of), monos),
+                     max_size=5).map(poly_from_terms)
+    f = draw(polys)
+    G = draw(st.lists(polys.filter(lambda g: not g.is_zero()), min_size=1, max_size=4))
+    return f, G, OrderSpec(dict(enumerate(ranks)))
+
+
+class TestDivisionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(division_problems())
+    def test_reduce_is_a_division(self, problem):
+        f, G, ord = problem
+        rem, used = reduce(f, G, ord)
+        acc = rem
+        for (c, mo), idx in used:
+            acc = poly_add(acc, poly_scale(G[idx], (c, mo)))
+        assert acc == f
+        lms = [leading_term(g, ord)[1] for g in G]
+        assert not any(mono_divides(lm, mo) for mo in rem.terms for lm in lms)
+        reduced = [ord.key(mono_mul(mo, lms[idx])) for (_, mo), idx in used]
+        assert all(a > b for a, b in zip(reduced, reduced[1:]))
 
 
 class TestRender:

@@ -189,6 +189,14 @@ class TestIndependence:
         gens = T.independence_ideal((2, 2, 2), [T.parse_statement("1_2|3")])
         assert len(gens) == 2  # one 2x2 determinant per state of axis 3
 
+    def test_sign_duplicates_keep_the_first(self):
+        x, y = poly_var(0), poly_var(1)
+        g = poly_sub(x, y)
+        h = poly_mul(x, y)
+        assert T._unique_up_to_sign([g, h, poly_neg(g), g, poly_sub(x, x), poly_neg(h)]) \
+            == [g, h]
+        assert T._unique_up_to_sign([poly_neg(g), g]) == [poly_neg(g)]
+
     def test_statement_parsing(self):
         assert T.parse_statement("1_2") == T.IndepStatement("marginal", 1, 2)
         assert T.parse_statement("2|rest") == T.IndepStatement("saturated", 2)
