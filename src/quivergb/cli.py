@@ -79,6 +79,8 @@ def _certify(layout, ord, field, args):
             raise InputError(f"bad --pairs value {args.pairs!r}") from None
         if not (0 <= i < len(refs) and 0 <= j < len(refs)):
             raise InputError("pair index out of range")
+        if i == j:
+            raise InputError("a pair needs two different generators")
         wanted = [(i, j)]
     failures = 0
     for i, j in wanted:

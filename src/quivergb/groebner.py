@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import (
-    DomainError, leading_term, mono_divides, mono_gcd_is_one,
+    DomainError, PreparedBasis, leading_term, mono_divides, mono_gcd_is_one,
     mono_is_squarefree, poly_scale, prepared, reduce, render, s_polynomial,
 )
 
@@ -98,27 +98,26 @@ def ideal_membership(f, G, ord, report=None):
 
 def buchberger_complete(F, ord):
     """Textbook Buchberger with coprime-skip; deterministic insertion-order queue."""
-    basis = []
+    basis = PreparedBasis([], ord)
     for f in F:
         if f.is_zero():
             raise DomainError("zero polynomial in input")
         basis.append(_monic(f, ord))
-    queue = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    G, lts = basis.polys, basis.lts
+    queue = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     head = 0
     while head < len(queue):
         i, j = queue[head]
         head += 1
-        _, mi = leading_term(basis[i], ord)
-        _, mj = leading_term(basis[j], ord)
-        if mono_gcd_is_one(mi, mj):
+        if mono_gcd_is_one(lts[i][1], lts[j][1]):
             continue
-        rem, _ = reduce(s_polynomial(basis[i], basis[j], ord), basis, ord)
+        rem, _ = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
         if rem.is_zero():
             continue
         basis.append(_monic(rem, ord))
-        new = len(basis) - 1
+        new = len(G) - 1
         queue.extend((k, new) for k in range(new))
-    return basis
+    return G
 
 
 def _monic(f, ord):

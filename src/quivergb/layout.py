@@ -98,6 +98,12 @@ class Layout:
     matrices: dict       # vertex -> list of rows of VarIds (may be absent)
     roles: dict          # vertex -> "sink" | "source"
     pos_in_matrix: dict = field(default_factory=dict)  # (vertex, VarId) -> (p, q)
+    # Memos of pure functions of a ref, filled by minors.  Keys hold values
+    # only (a field enters by its characteristic), never object identities.
+    #   dets: (vertex, rows, cols, field.char) -> determinant, shared, never mutated
+    #   diagonals: (vertex, rows, cols) -> diagonal monomial
+    dets: dict = field(default_factory=dict, compare=False, repr=False)
+    diagonals: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def nvars(self):

@@ -96,14 +96,23 @@ def _submatrix(layout, ref):
     return [[grid[p - 1][q - 1] for q in ref.cols] for p in ref.rows]
 
 
+def _det(layout, ref, field):
+    """Determinant of ref's submatrix, expanded once per layout and field."""
+    key = (ref.vertex, ref.rows, ref.cols, field.char)
+    det = layout.dets.get(key)
+    if det is None:
+        det = layout.dets[key] = _det_var_grid(_submatrix(layout, ref), field)
+    return det
+
+
 def expand_minor(layout, ref, field=QQ):
-    return _det_var_grid(_submatrix(layout, ref), field)
+    return _det(layout, ref, field)
 
 
 def expand_pseudominor(layout, ref, field=QQ):
     if ref.trivial:
         return Polynomial()
-    return _det_var_grid(_submatrix(layout, ref), field)
+    return _det(layout, ref, field)
 
 
 def ensure_consistent(layout, ord):
@@ -119,10 +128,14 @@ def ensure_consistent(layout, ord):
 
 
 def minor_leading_term(layout, ref, ord, field=QQ):
-    """Fast path: under a consistent order the leading term is the diagonal."""
+    """Fast path: under a consistent order the leading term is the diagonal,
+    the same for every consistent order, so its memo key holds no order."""
     ensure_consistent(layout, ord)
-    grid = _submatrix(layout, ref)
-    mono = mono_from((grid[i][i], 1) for i in range(len(grid)))
+    key = (ref.vertex, ref.rows, ref.cols)
+    mono = layout.diagonals.get(key)
+    if mono is None:
+        grid = _submatrix(layout, ref)
+        mono = layout.diagonals[key] = mono_from((grid[i][i], 1) for i in range(len(grid)))
     return field.of(1), mono
 
 

@@ -395,21 +395,28 @@ class PreparedBasis:
     __slots__ = ("polys", "ord", "lts", "_anchored", "_const")
 
     def __init__(self, G, ord):
-        self.polys = list(G)
+        self.polys = []
         self.ord = ord
         self.lts = []  # (coeff, monomial) of each generator's leading term
         self._anchored = {}  # var -> [(index, leading monomial)], indices ascending
         self._const = None  # lowest index with a constant leading monomial
-        for idx, g in enumerate(self.polys):
-            if g.is_zero():
-                raise DomainError("zero generator in division")
-            lt = leading_term(g, ord)
-            self.lts.append(lt)
-            lm = lt[1]
-            if lm:
-                self._anchored.setdefault(lm[0][0], []).append((idx, lm))
-            elif self._const is None:
-                self._const = idx  # a constant divides every monomial
+        for g in G:
+            self.append(g)
+
+    def append(self, g):
+        """Add g at the next index.  No earlier index changes, so divisor()
+        still returns the lowest eligible index."""
+        if g.is_zero():
+            raise DomainError("zero generator in division")
+        idx = len(self.polys)
+        lt = leading_term(g, self.ord)
+        self.polys.append(g)
+        self.lts.append(lt)
+        lm = lt[1]
+        if lm:
+            self._anchored.setdefault(lm[0][0], []).append((idx, lm))
+        elif self._const is None:
+            self._const = idx  # a constant divides every monomial
 
     def divisor(self, m):
         """Lowest index whose leading monomial divides m, or None."""

@@ -20,12 +20,14 @@ incidence class per page.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial
+from types import MappingProxyType
 
 from .poly import (
     QQ, DomainError, InputError, Polynomial, mono_divides, mono_from,
-    mono_lcm, mono_vars, poly_add, poly_scale, poly_sub, require,
+    mono_lcm, mono_mul, mono_vars, poly_add, poly_scale, poly_sub, require,
     s_polynomial, sorted_terms, leading_term,
 )
 from .minors import (
@@ -151,20 +153,27 @@ def _check_member(p, S, what):
 
 def coset_reps(an, side):
     """One representative per coset sigma * prod(Sym(I_j)); identity first."""
-    S = an.S_M if side == "row" else an.S_N
-    inc = an.incidences & S
+    return _coset_reps(an.S_M if side == "row" else an.S_N, an.incidence_classes)
+
+
+@cache
+def _coset_reps(S, incidence_classes):
+    """The cosets depend only on the support S and the incidence classes, so
+    pairs with the same pattern share one enumeration.  Every caller gets the
+    same permutations, so they are read-only views."""
+    inc = frozenset(i for cls in incidence_classes for i in cls) & S
     fixed = sorted(S - inc)
     buckets = {}
     for p in perms_of(S):
         key = (tuple(p[i] for i in fixed),
-               tuple(frozenset(p[i] for i in cls) for cls in an.incidence_classes))
+               tuple(frozenset(p[i] for i in cls) for cls in incidence_classes))
         line = perm_oneline(p, S)
         cur = buckets.get(key)
         if cur is None or line < perm_oneline(cur, S):
             buckets[key] = p
     reps = sorted(buckets.values(), key=lambda p: perm_oneline(p, S))
     # identity has the minimal one-line form, so it is already first
-    return reps
+    return tuple(MappingProxyType(p) for p in reps)
 
 
 def L_of(an, sigma, tau):
@@ -334,14 +343,21 @@ def expand_decomposition(layout, d, field=QQ):
     return acc
 
 
+def _term_leading_monomial(layout, t, ord, field):
+    """LM of expand_term(layout, t, field) without forming the product, or
+    None for a zero pseudominor: a ranked lex order is multiplicative and the
+    sign is a unit, so the leading monomial is the cofactor times LM(pm)."""
+    p = expand_pseudominor(layout, t.pm, field)
+    if p.is_zero():
+        return None
+    return mono_mul(t.cofactor, leading_term(p, ord)[1])
+
+
 def has_small_lts(layout, d, L, ord, field=QQ):
     key_l = ord.key(L)
     for t in d.row_terms + d.col_terms:
-        p = expand_term(layout, t, field)
-        if p.is_zero():
-            continue
-        _, m = leading_term(p, ord)
-        if not ord.key(m) < key_l:
+        m = _term_leading_monomial(layout, t, ord, field)
+        if m is not None and not ord.key(m) < key_l:
             return False
     return True
 
@@ -725,11 +741,8 @@ def verify_chain(layout, cert, ord, field=QQ):
             # every surviving pseudominor must be a natural generator in disguise
             if len(t.pm.rows) != layout.minor_size(t.pm.vertex):
                 return False
-            p = expand_term(layout, t, field)
-            if p.is_zero():
-                continue
-            _, m = leading_term(p, ord)
-            if not ord.key(m) < key_l:
+            m = _term_leading_monomial(layout, t, ord, field)
+            if m is not None and not ord.key(m) < key_l:
                 return False
     return True
 

@@ -162,6 +162,13 @@ class TestCertify:
                            "--pairs", "0,99")
         assert code == 2
 
+    def test_same_generator_twice_refused(self, capsys, quiver_file):
+        # (i, i) is not an S-pair, so there is nothing to certify
+        code, out, err = run(capsys, "certify", "--quiver", quiver_file,
+                             "--pairs", "3,3")
+        assert code == 2 and out == ""
+        assert "a pair needs two different generators" in err
+
 
 class TestInitIdeal:
     def test_squarefree(self, capsys, quiver_file):

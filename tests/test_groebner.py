@@ -1,14 +1,18 @@
+import hashlib
+
 import pytest
 
 from quivergb.groebner import (
     buchberger_check, buchberger_complete, ideal_membership,
     initial_ideal_gens, is_squarefree,
 )
+from quivergb.layout import default_order
 from quivergb.minors import MinorRef, expand_minor, natural_generators
 from quivergb.poly import (
     DomainError, OrderSpec, PreparedBasis, leading_term, mono_from, poly_add,
-    poly_mul, poly_sub, poly_var,
+    poly_mul, poly_sub, poly_var, render,
 )
+from quivergb.tensors import double_det_generators
 
 
 def polys_of(layout):
@@ -122,3 +126,21 @@ class TestCompletion:
         basis = buchberger_complete(G, ord)
         assert len(basis) > 2
         assert buchberger_check(basis, ord).is_groebner
+
+    def test_completed_bases_match_recorded(self):
+        # recorded while the completion still prepared a fresh basis per division
+        layout, gens = double_det_generators(3, 3, 2, 2, 2)
+        ord = default_order(layout)
+        basis = buchberger_complete([p for _, p in gens], ord)
+        text = "".join(render(g, ord, layout.var_name) + "\n" for g in basis)
+        assert len(basis) == 72
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "8298ae4e3b735a0247d74823d498f951ff63a6aa622c0e337ba78d6f1e7fb1b0"
+        ord = OrderSpec({0: 0, 1: 1, 2: 2, 3: 3})
+        x, y, z, w = (poly_var(v) for v in range(4))
+        G = [poly_sub(poly_mul(x, y), z), poly_sub(poly_mul(x, z), w)]
+        assert [render(g, ord, "xyzw".__getitem__) for g in buchberger_complete(G, ord)] \
+            == ["+x*y-z", "+x*z-w", "+y*w-z*z"]
+        G.append(poly_sub(poly_mul(y, w), z))
+        assert [render(g, ord, "xyzw".__getitem__) for g in buchberger_complete(G, ord)] \
+            == ["+x*y-z", "+x*z-w", "+y*w-z", "+z*z-z", "+z*w-w", "+x*w-w*w"]

@@ -6,7 +6,13 @@ from quivergb.minors import (
     expand_pseudominor, minor_leading_term, minor_points, natural_generators,
     parse_minor_spec, render_minor_spec,
 )
-from quivergb.poly import DomainError, InputError, OrderSpec, leading_term, render
+from quivergb.poly import (
+    DomainError, InputError, OrderSpec, PrimeField, leading_term, render,
+)
+
+from conftest import make_instance
+
+DOUBLE_2X2 = "vertices 2\narrow 1 2\narrow 1 2\nm 2 2\nrank 1 1\n"
 
 
 class TestRefs:
@@ -51,6 +57,17 @@ class TestExpansion:
         with pytest.raises(InputError):
             expand_minor(layout, MinorRef(2, (1, 4), (1, 2)))
 
+    def test_memo_keys_on_the_field_characteristic(self):
+        layout, _ = make_instance(DOUBLE_2X2)
+        ref = MinorRef(2, (1, 2), (1, 2))
+        qq = expand_minor(layout, ref)
+        gf = expand_minor(layout, ref, PrimeField(7))
+        assert qq != gf
+        entries = len(layout.dets)
+        # another PrimeField(7) object is the same field, so the lookup hits
+        assert expand_minor(layout, ref, PrimeField(7)) is gf
+        assert len(layout.dets) == entries
+
 
 class TestLeadingTerm:
     def test_diagonal_fast_path(self, double_2x2):
@@ -67,6 +84,18 @@ class TestLeadingTerm:
             layout, "\n".join(f"{layout.var_name(v)} {n - 1 - v}" for v in range(n)))
         with pytest.raises(DomainError, match="consistent"):
             minor_leading_term(layout, MinorRef(2, (1, 2), (1, 2)), rev)
+
+    def test_filled_memo_does_not_vouch_for_an_inconsistent_order(self):
+        layout, ord = make_instance(DOUBLE_2X2)
+        refs = enumerate_minors(layout, 2, 2)
+        for ref in refs:
+            minor_leading_term(layout, ref, ord)
+        assert len(layout.diagonals) == len(refs)
+        n = layout.nvars
+        rev = OrderSpec({v: n - 1 - v for v in range(n)})
+        for ref in refs:
+            with pytest.raises(DomainError, match="consistent"):
+                minor_leading_term(layout, ref, rev)
 
     def test_fresh_inconsistent_order_refused_after_a_dropped_one(self, double_2x2):
         # a validated order that is freed must not vouch for a new order,

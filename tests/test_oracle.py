@@ -2,15 +2,18 @@
 
 The reduced lex Groebner basis that sympy computes from the natural
 generators must have the same leading monomials as our minimal initial
-ideal generators, since the natural generators already form a basis.
-Skipped when sympy is not installed."""
+ideal generators, since the natural generators already form a basis.  On
+independence ideals, which need not be bases, the two routes must reach
+the same verdict.  Skipped when sympy is not installed."""
 
 import pytest
 
 from quivergb.groebner import buchberger_check, initial_ideal_gens
 from quivergb.layout import default_order
 from quivergb.poly import OrderSpec, poly_mul, poly_sub, poly_var
-from quivergb.tensors import double_det_generators
+from quivergb.tensors import (
+    double_det_generators, independence_ideal, parse_statement, tensor_var_order,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -53,3 +56,18 @@ def test_non_basis_initial_ideal_is_strictly_smaller():
     assert any(not any(divides(o, t) for o in ours) for t in theirs)
     report = buchberger_check(G, ord)
     assert "NOT A GROEBNER BASIS" in report.render()
+
+
+@pytest.mark.parametrize("shape, statements, groebner", [
+    ((2, 2, 2), "1_2", True), ((2, 2, 2), "1_3|2", True), ((2, 2, 2), "1|rest", True),
+    ((2, 2, 2), "1_2,1_3|2", False), ((2, 2, 2), "1_2,1_3", False),
+    ((2, 2, 3), "1_2|3,1_3", False), ((3, 3), "1_2", True),
+])
+def test_indep_verdict_matches_sympy(shape, statements, groebner):
+    # the direct check calls an independence ideal's generators a basis
+    # exactly when sympy's initial ideal equals the one they generate
+    G = independence_ideal(list(shape), [parse_statement(s) for s in statements.split(",")])
+    ord = tensor_var_order(shape)
+    ours = {ord.key(m) for m in initial_ideal_gens(G, ord)}
+    assert (sympy_leading_exponents(G, ord) == ours) == groebner
+    assert buchberger_check(G, ord).is_groebner == groebner

@@ -1,17 +1,20 @@
+import hashlib
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivergb.minors import (
-    MinorRef, PseudoMinorRef, enumerate_minors, expand_minor,
-    minor_leading_term, natural_generators,
+    MinorRef, PseudoMinorRef, _det_var_grid, _submatrix, enumerate_minors,
+    expand_minor, minor_leading_term, natural_generators,
 )
 from quivergb.poly import (
-    DomainError, InputError, mono_divides, mono_from, mono_lcm, poly_add, render,
-    s_polynomial,
+    QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term,
+    mono_divides, mono_from, mono_lcm, poly_add, render, s_polynomial,
 )
 from quivergb import spair
 from quivergb.layout import build_layout, default_order, parse_quiver
+from quivergb.tensors import double_det_generators
 
 from conftest import make_instance
 
@@ -77,6 +80,9 @@ class TestPermutationSums:
         rows = spair.coset_reps(an, "row")
         assert rows[0] == {2: 2, 3: 3}
         assert len(rows) == 2
+        # shared by every pair with this pattern, so read-only
+        with pytest.raises(TypeError):
+            rows[0][2] = 3
 
     def test_coset_count(self, double_3x3):
         from math import factorial
@@ -362,3 +368,59 @@ class TestChains:
             " ; cols: [- x[4,1,1] pm 2:1,2,5;2,3,5] [+ x[5,1,1] pm 2:1,2,4;2,3,5]\n"
             "step 1: rows: [- x[5,3,1] pm 2:2,3,4;1,4,5] [- x[2,3,1] pm 2:4,3,5;1,4,5]"
             " ; cols: [- x[3,5,1] pm 2:2,4,5;1,3,4] [- x[3,1,1] pm 2:2,4,5;4,3,5]")
+
+
+MEMO_LAYOUT, _ = make_instance("vertices 2\narrow 1 2\narrow 1 2\nm 3 3\nrank 1 1\n")
+
+
+@st.composite
+def decomposition_terms(draw):
+    """(term, ord, field): a signed cofactor times a pseudominor of either
+    matrix, repeated rows and columns allowed, under a random ranked order."""
+    layout = MEMO_LAYOUT
+    vertex = draw(st.sampled_from(sorted(layout.matrices)))
+    nrows, ncols = layout.matrix_shape(vertex)
+    size = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.integers(1, nrows), min_size=size, max_size=size))
+    cols = draw(st.lists(st.integers(1, ncols), min_size=size, max_size=size))
+    cofactor = draw(st.lists(st.tuples(st.integers(0, layout.nvars - 1), st.integers(0, 2)),
+                             max_size=3).map(mono_from))
+    term = spair.DecompTerm(draw(st.sampled_from([1, -1])), cofactor,
+                            PseudoMinorRef(vertex, tuple(rows), tuple(cols)))
+    ranks = draw(st.permutations(range(layout.nvars)))
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    return term, OrderSpec(dict(enumerate(ranks))), field
+
+
+class TestMemos:
+    @settings(max_examples=200, deadline=None)
+    @given(decomposition_terms())
+    def test_term_leading_monomial_skips_the_product(self, problem):
+        term, ord, field = problem
+        p = spair.expand_term(MEMO_LAYOUT, term, field)
+        expected = None if p.is_zero() else leading_term(p, ord)[1]
+        assert spair._term_leading_monomial(MEMO_LAYOUT, term, ord, field) == expected
+
+    @pytest.mark.parametrize("shape, field, pairs, digest", [
+        ((3, 3, 2, 2, 2), QQ, 2556,
+         "679f2c2e8f1cf18d71ddcf4fbdee650587b5b1e564702d71a684be28ad00a1e4"),
+        ((2, 2, 2, 2, 2), PrimeField(7), 45,
+         "b912c36fe8ebc683d846104c15d7dab152e02363bd3ec68b186b26dc4e63fdb6"),
+    ], ids=["pencil-3x3-QQ", "pencil-2x2-GF7"])
+    def test_all_pair_certificates_match_recorded(self, shape, field, pairs, digest):
+        # sha256 over render_certificate of every pair, recorded while every
+        # determinant was still expanded afresh
+        layout, _ = double_det_generators(*shape)
+        ord = default_order(layout)
+        refs = [r for r, _ in natural_generators(layout, field)]
+        h = hashlib.sha256()
+        wanted = list(combinations(refs, 2))
+        for A, B in wanted:
+            cert = spair.build_chain(layout, A, B, ord, field)
+            assert spair.verify_chain(layout, cert, ord, field)
+            h.update(spair.render_certificate(layout, cert, ord).encode() + b"\n")
+        assert len(wanted) == pairs and h.hexdigest() == digest
+        # no caller changed an expansion that the memo shares
+        for (vertex, rows, cols, char), det in layout.dets.items():
+            ref = PseudoMinorRef(vertex, rows, cols)
+            assert det == _det_var_grid(_submatrix(layout, ref), PrimeField(char) if char else QQ)
