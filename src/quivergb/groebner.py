@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import (
-    DomainError, PreparedBasis, leading_term, mono_divides, mono_gcd_is_one,
-    mono_is_squarefree, poly_scale, prepared, reduce, render, s_polynomial,
+    DomainError, PreparedBasis, inverse, leading_term, mono_divides,
+    mono_gcd_is_one, mono_is_squarefree, poly_scale, prepared, reduce, render,
+    s_polynomial,
 )
 
 
@@ -39,7 +40,8 @@ def _check_pair(basis, ord, i, j, coprime_skip):
     if coprime_skip and mono_gcd_is_one(basis.lts[i][1], basis.lts[j][1]):
         return "skip", None
     G = basis.polys
-    rem, _ = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
+    S = s_polynomial(G[i], G[j], ord, basis.lts[i], basis.lts[j])
+    rem, _ = reduce(S, basis, ord)
     if rem.is_zero():
         return "zero", None
     return "fail", rem
@@ -111,7 +113,7 @@ def buchberger_complete(F, ord):
         head += 1
         if mono_gcd_is_one(lts[i][1], lts[j][1]):
             continue
-        rem, _ = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
+        rem, _ = reduce(s_polynomial(G[i], G[j], ord, lts[i], lts[j]), basis, ord)
         if rem.is_zero():
             continue
         basis.append(_monic(rem, ord))
@@ -122,4 +124,4 @@ def buchberger_complete(F, ord):
 
 def _monic(f, ord):
     c, _ = leading_term(f, ord)
-    return poly_scale(f, (c ** -1, ()))
+    return poly_scale(f, (inverse(c), ()))

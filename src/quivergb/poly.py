@@ -32,12 +32,13 @@ def require(ok, message):
 # coefficient fields
 
 class Rationals:
-    """Arbitrary-precision rational coefficients (the default)."""
+    """Exact rational coefficients (the default).  A value is a plain int
+    until something is divided by a non-unit, and a Fraction from then on."""
 
     char = 0
 
     def of(self, n):
-        return Fraction(n)
+        return n
 
     def __repr__(self):
         return "QQ"
@@ -153,9 +154,19 @@ class PrimeField:
 QQ = Rationals()
 
 
+def inverse(c):
+    """1/c for a nonzero coefficient; the only place a coefficient is divided.
+
+    An int +-1 is its own inverse, any other int becomes a Fraction (never
+    a float), and a Fraction or GFElement inverts itself."""
+    if isinstance(c, int):
+        return c if c in (1, -1) else Fraction(1, c)
+    return c ** -1
+
+
 def coeff_is_negative(c):
     # only used for rendering; GF(p) values render as bare residues
-    return isinstance(c, Fraction) and c < 0
+    return isinstance(c, (int, Fraction)) and c < 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +385,13 @@ def sorted_terms(f, ord):
     return [(f.terms[m], m) for m in sorted(f.terms, key=ord.key, reverse=True)]
 
 
-def s_polynomial(f, g, ord):
-    cf, mf = leading_term(f, ord)
-    cg, mg = leading_term(g, ord)
+def s_polynomial(f, g, ord, lt_f=None, lt_g=None):
+    """S(f, g); lt_f and lt_g, when given, are the known leading terms."""
+    cf, mf = lt_f or leading_term(f, ord)
+    cg, mg = lt_g or leading_term(g, ord)
     big = mono_lcm(mf, mg)
-    left = poly_scale(f, (cf ** -1, mono_div(big, mf)))
-    right = poly_scale(g, (cg ** -1, mono_div(big, mg)))
+    left = poly_scale(f, (inverse(cf), mono_div(big, mf)))
+    right = poly_scale(g, (inverse(cg), mono_div(big, mg)))
     return poly_sub(left, right)
 
 
@@ -470,7 +482,7 @@ def reduce(f, G, ord):
         if idx is None:  # irreducible: it stays in the remainder
             continue
         lc, lm = basis.lts[idx]
-        cof_c = c / lc
+        cof_c = c * inverse(lc)
         cof_m = mono_div(m, lm)
         used.append(((cof_c, cof_m), idx))
         for gm, gc in basis.polys[idx].terms.items():

@@ -26,7 +26,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .poly import (
-    QQ, DomainError, InputError, Polynomial, mono_divides, mono_from,
+    QQ, DomainError, InputError, Polynomial, inverse, mono_divides, mono_from,
     mono_lcm, mono_mul, mono_vars, poly_add, poly_scale, poly_sub, require,
     s_polynomial, sorted_terms, leading_term,
 )
@@ -287,12 +287,12 @@ def _coprime_decomposition(layout, M, N, ord, field):
     pm_n = expand_minor(layout, N, field)
     cm, lm_m = leading_term(pm_m, ord)
     cn, lm_n = leading_term(pm_n, ord)
-    unit = cm * cn
+    unit_inv = inverse(cm * cn)
     row_terms = []
     for c, m in sorted_terms(pm_m, ord):
         if m == lm_m:
             continue
-        s = c / unit
+        s = c * unit_inv
         if s == field.of(1):
             sign = 1
         elif s == field.of(-1):
@@ -304,7 +304,7 @@ def _coprime_decomposition(layout, M, N, ord, field):
     for c, m in sorted_terms(pm_n, ord):
         if m == lm_n:
             continue
-        s = c / unit
+        s = c * unit_inv
         sign = 1 if s == field.of(1) else -1
         col_terms.append(DecompTerm(sign, m, PseudoMinorRef(M.vertex, M.rows, M.cols)))
     return Decomposition(M, N, tuple(row_terms), tuple(col_terms))

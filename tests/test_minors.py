@@ -7,7 +7,8 @@ from quivergb.minors import (
     parse_minor_spec, render_minor_spec,
 )
 from quivergb.poly import (
-    DomainError, InputError, OrderSpec, PrimeField, leading_term, render,
+    DomainError, GFElement, InputError, OrderSpec, PrimeField, leading_term,
+    render,
 )
 
 from conftest import make_instance
@@ -62,7 +63,10 @@ class TestExpansion:
         ref = MinorRef(2, (1, 2), (1, 2))
         qq = expand_minor(layout, ref)
         gf = expand_minor(layout, ref, PrimeField(7))
-        assert qq != gf
+        # separate entries: ints over QQ, residues mod 7 over GF(7)
+        assert qq is not gf
+        assert all(type(c) is int for c in qq.terms.values())
+        assert all(isinstance(c, GFElement) for c in gf.terms.values())
         entries = len(layout.dets)
         # another PrimeField(7) object is the same field, so the lookup hits
         assert expand_minor(layout, ref, PrimeField(7)) is gf

@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import combinations
+
+from quivergb import groebner, spair
 from quivergb.layout import default_order
+from quivergb.minors import natural_generators
 from quivergb.poly import (
-    QQ, DomainError, InputError, OrderSpec, Polynomial, PreparedBasis,
-    PrimeField, leading_term, mono_div, mono_divides, mono_from,
-    mono_gcd_is_one, mono_lcm, mono_mul, poly_add, poly_const,
+    QQ, DomainError, GFElement, InputError, OrderSpec, Polynomial,
+    PreparedBasis, PrimeField, inverse, leading_term, mono_div, mono_divides,
+    mono_from, mono_gcd_is_one, mono_lcm, mono_mul, poly_add, poly_const,
     poly_from_terms, poly_mul, poly_scale, poly_sub, poly_var, reduce,
     render, s_polynomial, sorted_terms,
 )
@@ -138,7 +142,9 @@ class TestDivision:
     def test_pencil_s_pairs_match_recorded_divisions(self):
         # sha256 over every S-pair of the (3,3,2,2,2) pencil of
         # repr((i, j, sorted remainder terms, used)), recorded with the
-        # sort-and-scan division that the prepared basis replaced
+        # sort-and-scan division that the prepared basis replaced, when every
+        # QQ coefficient was a Fraction; Fraction(c) hashes the same values
+        # whether c is held as an int or a Fraction
         layout, gens = double_det_generators(3, 3, 2, 2, 2)
         ord = default_order(layout)
         G = [p for _, p in gens]
@@ -149,7 +155,9 @@ class TestDivision:
             for j in range(i + 1, len(G)):
                 rem, used = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
                 steps += len(used)
-                digest.update(repr((i, j, sorted(rem.terms.items()), used)).encode())
+                terms = [(mono, Fraction(c)) for mono, c in sorted(rem.terms.items())]
+                cofactors = [((Fraction(c), mono), idx) for (c, mono), idx in used]
+                digest.update(repr((i, j, terms, cofactors)).encode())
         assert steps == 9027
         assert digest.hexdigest() == \
             "75d30ed9565c54f8b48c9d26902648139456814c567e940e7c7832bb5696245b"
@@ -196,6 +204,91 @@ class TestDivisionProperties:
         assert not any(mono_divides(lm, mo) for mo in rem.terms for lm in lms)
         reduced = [ord.key(mono_mul(mo, lms[idx])) for (_, mo), idx in used]
         assert all(a > b for a, b in zip(reduced, reduced[1:]))
+        coeffs = list(rem.terms.values()) + [c for (c, _), _ in used]
+        assert not any(isinstance(c, float) for c in coeffs)
+
+
+def poly_of(*terms):
+    """A polynomial in x, y, z (variables 0, 1, 2) from (coeff, {var: exp}) pairs."""
+    return poly_from_terms((c, mono_from(e.items())) for c, e in terms)
+
+
+def all_fractions(values):
+    return all(type(c) is Fraction for c in values)
+
+
+class TestExactCoefficients:
+    """QQ coefficients are ints, and become Fractions only when divided by
+    a non-unit; a float never reaches a polynomial."""
+
+    def test_inverse(self):
+        assert inverse(1) == 1 and type(inverse(1)) is int
+        assert inverse(-1) == -1 and type(inverse(-1)) is int
+        assert inverse(3) == Fraction(1, 3) and type(inverse(3)) is Fraction
+        assert inverse(-2) == Fraction(-1, 2) and type(inverse(-2)) is Fraction
+        assert inverse(Fraction(2, 3)) == Fraction(3, 2)
+        assert inverse(GFElement(3, 7)) == GFElement(5, 7)
+        for zero in (0, Fraction(0), GFElement(7, 7)):
+            with pytest.raises(ZeroDivisionError):
+                inverse(zero)
+
+    def test_field_of_is_an_int(self):
+        assert type(QQ.of(-1)) is int
+        assert all(type(c) is int for c in poly_var(0).terms.values())
+
+    def test_reduce_by_non_unit_leading_coefficients(self):
+        # x = 1/2 (2x - y) + 1/2 y,  1/2 y = 1/6 (3y - z) + 1/6 z
+        G = [poly_of((2, {0: 1}), (-1, {1: 1})), poly_of((3, {1: 1}), (-1, {2: 1}))]
+        rem, used = reduce(poly_var(0), G, ORD3)
+        assert rem == poly_of((Fraction(1, 6), {2: 1}))
+        assert used == [((Fraction(1, 2), ()), 0), ((Fraction(1, 6), ()), 1)]
+        assert all_fractions(list(rem.terms.values()) + [c for (c, _), _ in used])
+
+    def test_s_polynomial_of_non_unit_leading_coefficients(self):
+        # S(2x - y, 3x - z) = 1/2 (2x - y) - 1/3 (3x - z) = -1/2 y + 1/3 z
+        f = poly_of((2, {0: 1}), (-1, {1: 1}))
+        g = poly_of((3, {0: 1}), (-1, {2: 1}))
+        S = s_polynomial(f, g, ORD3)
+        assert S == poly_of((Fraction(-1, 2), {1: 1}), (Fraction(1, 3), {2: 1}))
+        assert all_fractions(S.terms.values())
+        assert s_polynomial(f, g, ORD3, leading_term(f, ORD3), leading_term(g, ORD3)) == S
+
+    def test_completion_of_non_unit_leading_coefficients(self):
+        # monic: xy - 1/2 z and xz - 1/3 y; their S-polynomial
+        # z(xy - 1/2 z) - y(xz - 1/3 y) = 1/3 y^2 - 1/2 z^2 is irreducible,
+        # and y^2 - 3/2 z^2 closes the basis
+        F = [poly_of((2, {0: 1, 1: 1}), (-1, {2: 1})),
+             poly_of((3, {0: 1, 2: 1}), (-1, {1: 1}))]
+        G = groebner.buchberger_complete(F, ORD3)
+        assert G == [poly_of((1, {0: 1, 1: 1}), (Fraction(-1, 2), {2: 1})),
+                     poly_of((1, {0: 1, 2: 1}), (Fraction(-1, 3), {1: 1})),
+                     poly_of((1, {1: 2}), (Fraction(-3, 2), {2: 2}))]
+        assert all(all_fractions(g.terms.values()) for g in G)
+
+    def test_natural_generators_stay_integral(self, monkeypatch):
+        # every polynomial built and every cofactor used while checking and
+        # certifying (2,2,2,2,2) over QQ has int coefficients
+        seen = []
+        init = Polynomial.__init__
+
+        def recording_init(self, terms=None):
+            init(self, terms)
+            seen.extend(self.terms.values())
+
+        def recording_reduce(f, G, ord):
+            rem, used = reduce(f, G, ord)
+            seen.extend(c for (c, _), _ in used)
+            return rem, used
+
+        monkeypatch.setattr(Polynomial, "__init__", recording_init)
+        monkeypatch.setattr(groebner, "reduce", recording_reduce)
+        layout, gens = double_det_generators(2, 2, 2, 2, 2)
+        ord = default_order(layout)
+        report = groebner.buchberger_check([p for _, p in gens], ord, coprime_skip=False)
+        assert report.is_groebner and report.reduced_to_zero == 45
+        for A, B in combinations([r for r, _ in natural_generators(layout)], 2):
+            assert spair.verify_chain(layout, spair.build_chain(layout, A, B, ord), ord)
+        assert seen and all(type(c) is int for c in seen)
 
 
 class TestRender:
