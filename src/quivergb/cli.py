@@ -8,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .poly import QQ, DomainError, InputError, PrimeField, render
+from .poly import QQ, DomainError, InputError, Polynomial, PrimeField, render
 from .layout import build_layout, default_order, parse_order_file, parse_quiver
 from .minors import (
     ensure_consistent, natural_generators, parse_minor_spec, render_minor_spec,
@@ -22,21 +22,22 @@ def _field_of(args):
     return PrimeField(p) if p else QQ
 
 
+def _read_text(path, what):
+    """The UTF-8 text of a user-named file; unreadable or undecodable is bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from None
+
+
 def _load_layout(args):
     if getattr(args, "quiver", None):
         path = Path(args.quiver)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read quiver file: {exc}") from None
-        spec = parse_quiver(text)
+        spec = parse_quiver(_read_text(path, "quiver"))
         layout = build_layout(spec)
         if spec.order_file:
-            opath = path.parent / spec.order_file
-            try:
-                ord = parse_order_file(layout, opath.read_text())
-            except OSError as exc:
-                raise InputError(f"cannot read order file: {exc}") from None
+            text = _read_text(path.parent / spec.order_file, "order")
+            ord = parse_order_file(layout, text)
             ensure_consistent(layout, ord)
         else:
             ord = default_order(layout)
@@ -106,7 +107,7 @@ def _spair(layout, ord, field, args):
     if args.decompose:
         d = spair.p_decomposition(layout, M, N, ord, field)
         print(spair.render_decomposition(layout, d, ord))
-        an = spair.analyze(layout, M, N, ord, field)
+        an = spair.analyze(layout, M, N, ord)
         small = spair.has_small_lts(layout, d, an.L, ord, field)
         ok = spair.expand_decomposition(layout, d, field) == S
         print(f"identity {'true' if ok else 'false'} small-lts {'true' if small else 'false'}")
@@ -118,21 +119,9 @@ def _init_ideal(layout, ord, field):
     polys = [p for _, p in natural_generators(layout, field)]
     monos = initial_ideal_gens(polys, ord)
     for m in monos:
-        print(render(_mono_poly(m, field), ord, layout.var_name))
+        print(render(Polynomial({m: 1}), ord, layout.var_name))
     print(f"squarefree {'true' if is_squarefree(monos) else 'false'}")
     return 0
-
-
-def _mono_poly(m, field):
-    from .poly import Polynomial
-    return Polynomial({m: field.of(1)})
-
-
-def _read_tensor(path):
-    try:
-        return tensors.parse_tensor(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read tensor file: {exc}") from None
 
 
 def _axes_list(text):
@@ -148,7 +137,7 @@ def _print_matrix(M):
 
 
 def _tensor(args):
-    X = _read_tensor(args.data)
+    X = tensors.parse_tensor(_read_text(args.data, "tensor"))
     if args.tverb == "contract":
         out = tensors.contraction(X, _axes_list(args.axes))
         if isinstance(out, tensors.Tensor):

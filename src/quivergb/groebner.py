@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 from .poly import (
     DomainError, PreparedBasis, inverse, leading_term, mono_divides,
-    mono_gcd_is_one, mono_is_squarefree, poly_scale, prepared, reduce, render,
-    s_polynomial,
+    mono_is_squarefree, poly_scale, prepared, reduce, render, s_polynomial,
 )
 
 
@@ -37,7 +36,7 @@ class CheckReport:
 
 
 def _check_pair(basis, ord, i, j, coprime_skip):
-    if coprime_skip and mono_gcd_is_one(basis.lts[i][1], basis.lts[j][1]):
+    if coprime_skip and basis.lvars[i].isdisjoint(basis.lvars[j]):
         return "skip", None
     G = basis.polys
     S = s_polynomial(G[i], G[j], ord, basis.lts[i], basis.lts[j])
@@ -105,13 +104,13 @@ def buchberger_complete(F, ord):
         if f.is_zero():
             raise DomainError("zero polynomial in input")
         basis.append(_monic(f, ord))
-    G, lts = basis.polys, basis.lts
+    G, lts, lvars = basis.polys, basis.lts, basis.lvars
     queue = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     head = 0
     while head < len(queue):
         i, j = queue[head]
         head += 1
-        if mono_gcd_is_one(lts[i][1], lts[j][1]):
+        if lvars[i].isdisjoint(lvars[j]):
             continue
         rem, _ = reduce(s_polynomial(G[i], G[j], ord, lts[i], lts[j]), basis, ord)
         if rem.is_zero():

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .poly import (
-    QQ, DomainError, InputError, Polynomial, mono_from, poly_const,
-    poly_mul_var,
+    QQ, DomainError, InputError, Polynomial, mono_from, poly_mul, poly_neg,
+    poly_var,
 )
 from .layout import validate_consistent
 
@@ -58,27 +58,28 @@ def enumerate_minors(layout, gamma, size):
     return out
 
 
-def _det_var_grid(grid, field):
-    """Determinant of a square grid of VarIds by DP over column subsets."""
-    n = len(grid)
-    prev = {0: poly_const(field.of(1))}
-    for i in range(n):
-        row = grid[i]
+def det_poly_matrix(M):
+    """Determinant of a square matrix of polynomials (DP over column masks).
+
+    The DP starts from the first row rather than from a constant 1, so it
+    works over any coefficient field."""
+    n = len(M)
+    if not n or any(len(row) != n for row in M):
+        raise InputError("determinant needs a nonempty square matrix")
+    prev = {1 << j: M[0][j] for j in range(n)}
+    for i in range(1, n):
         nxt = {}
         for mask, sub in prev.items():
             for j in range(n):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                term = poly_mul_var(sub, row[j])
+                term = poly_mul(sub, M[i][j])
                 # Laplace sign: parity of already-chosen columns right of j
                 if (mask >> (j + 1)).bit_count() & 1:
-                    term = -term
+                    term = poly_neg(term)
                 key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
+                nxt[key] = nxt[key] + term if key in nxt else term
         prev = nxt
     return prev[(1 << n) - 1]
 
@@ -101,7 +102,8 @@ def _det(layout, ref, field):
     key = (ref.vertex, ref.rows, ref.cols, field.char)
     det = layout.dets.get(key)
     if det is None:
-        det = layout.dets[key] = _det_var_grid(_submatrix(layout, ref), field)
+        grid = [[poly_var(v, field) for v in row] for row in _submatrix(layout, ref)]
+        det = layout.dets[key] = det_poly_matrix(grid)
     return det
 
 
@@ -127,16 +129,17 @@ def ensure_consistent(layout, ord):
     ord.consistent_layout = layout
 
 
-def minor_leading_term(layout, ref, ord, field=QQ):
-    """Fast path: under a consistent order the leading term is the diagonal,
-    the same for every consistent order, so its memo key holds no order."""
+def minor_leading_term(layout, ref, ord):
+    """The leading monomial of a minor.  Under a consistent order it is the
+    diagonal, with coefficient 1, the same for every consistent order, so
+    its memo key holds no order."""
     ensure_consistent(layout, ord)
     key = (ref.vertex, ref.rows, ref.cols)
     mono = layout.diagonals.get(key)
     if mono is None:
         grid = _submatrix(layout, ref)
         mono = layout.diagonals[key] = mono_from((grid[i][i], 1) for i in range(len(grid)))
-    return field.of(1), mono
+    return mono
 
 
 def minor_points(layout, ref):

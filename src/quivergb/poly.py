@@ -223,11 +223,6 @@ def mono_lcm(a, b):
     return tuple(sorted(acc.items()))
 
 
-def mono_gcd_is_one(a, b):
-    vb = {v for v, _ in b}
-    return all(v not in vb for v, _ in a)
-
-
 def mono_vars(a):
     return frozenset(v for v, _ in a)
 
@@ -351,10 +346,6 @@ def poly_scale(f, term):
     return Polynomial({mono_mul(m, fm): c * fc for fm, fc in f.terms.items()})
 
 
-def poly_mul_var(f, v):
-    return Polynomial({mono_mul(m, ((v, 1),)): c for m, c in f.terms.items()})
-
-
 def poly_mul(f, g):
     if len(f.terms) > len(g.terms):
         f, g = g, f
@@ -398,18 +389,20 @@ def s_polynomial(f, g, ord, lt_f=None, lt_g=None):
 class PreparedBasis:
     """The generators of a division, with what every division by them needs
     worked out once: their leading terms, and a map from each variable to
-    the generators anchored at it (one variable of the leading monomial).
+    the generators anchored at it (one variable of the leading monomial),
+    and the variable set of each leading monomial for coprimality tests.
 
     Natural generators have squarefree diagonal leading monomials, so a term
     m has few candidate divisors: those anchored at one of m's variables.
     """
 
-    __slots__ = ("polys", "ord", "lts", "_anchored", "_const")
+    __slots__ = ("polys", "ord", "lts", "lvars", "_anchored", "_const")
 
     def __init__(self, G, ord):
         self.polys = []
         self.ord = ord
         self.lts = []  # (coeff, monomial) of each generator's leading term
+        self.lvars = []  # frozenset of the variables of each leading monomial
         self._anchored = {}  # var -> [(index, leading monomial)], indices ascending
         self._const = None  # lowest index with a constant leading monomial
         for g in G:
@@ -425,6 +418,7 @@ class PreparedBasis:
         self.polys.append(g)
         self.lts.append(lt)
         lm = lt[1]
+        self.lvars.append(mono_vars(lm))
         if lm:
             self._anchored.setdefault(lm[0][0], []).append((idx, lm))
         elif self._const is None:
@@ -502,6 +496,12 @@ def reduce(f, G, ord):
     return Polynomial(work), used
 
 
+def render_monomial(m, ord, namer):
+    """Factors in rank order, a variable repeated by its exponent; "" for 1."""
+    return "*".join(namer(v) for v, e in sorted(m, key=lambda p: ord.rank_of(p[0]))
+                    for _ in range(e))
+
+
 def render(f, ord, namer):
     """Canonical text form: terms strictly decreasing, ``{+|-}{c*}x[i,j,k]*…``."""
     if f.is_zero():
@@ -511,13 +511,11 @@ def render(f, ord, namer):
         neg = coeff_is_negative(c)
         mag = -c if neg else c
         out.append("-" if neg else "+")
-        factors = []
-        for v, e in sorted(m, key=lambda p: ord.rank_of(p[0])):
-            factors.extend([namer(v)] * e)
-        if mag == 1 and factors:
-            out.append("*".join(factors))
-        elif factors:
-            out.append(f"{mag}*" + "*".join(factors))
-        else:
+        mono = render_monomial(m, ord, namer)
+        if not mono:
             out.append(f"{mag}")
+        elif mag == 1:
+            out.append(mono)
+        else:
+            out.append(f"{mag}*{mono}")
     return "".join(out)

@@ -27,8 +27,8 @@ from types import MappingProxyType
 
 from .poly import (
     QQ, DomainError, InputError, Polynomial, inverse, mono_divides, mono_from,
-    mono_lcm, mono_mul, mono_vars, poly_add, poly_scale, poly_sub, require,
-    s_polynomial, sorted_terms, leading_term,
+    mono_lcm, mono_mul, mono_vars, poly_add, poly_scale, poly_sub,
+    render_monomial, require, s_polynomial, sorted_terms, leading_term,
 )
 from .minors import (
     MinorRef, PseudoMinorRef, expand_minor, expand_pseudominor,
@@ -64,7 +64,7 @@ class SPairAnalysis:
         return frozenset(i for cls in self.incidence_classes for i in cls)
 
 
-def analyze(layout, M, N, ord, field=QQ):
+def analyze(layout, M, N, ord):
     # The cross-matrix machinery is oriented: sigma permutes row coordinates
     # inside the sink-side support, tau permutes column coordinates inside
     # the source-side support.  Normalize a reversed pair.
@@ -72,8 +72,8 @@ def analyze(layout, M, N, ord, field=QQ):
             and layout.roles[M.vertex] == "source"
             and layout.roles[N.vertex] == "sink"):
         M, N = N, M
-    _, lm_m = minor_leading_term(layout, M, ord, field)
-    _, lm_n = minor_leading_term(layout, N, ord, field)
+    lm_m = minor_leading_term(layout, M, ord)
+    lm_n = minor_leading_term(layout, N, ord)
     L = mono_lcm(lm_m, lm_n)
     variables = sorted(mono_vars(L), key=ord.rank_of)
     points = tuple(layout.point_of[v] for v in variables)
@@ -293,9 +293,9 @@ def _coprime_decomposition(layout, M, N, ord, field):
         if m == lm_m:
             continue
         s = c * unit_inv
-        if s == field.of(1):
+        if s == 1:
             sign = 1
-        elif s == field.of(-1):
+        elif s == -1:
             sign = -1
         else:  # pragma: no cover - minors have unit coefficients
             raise DomainError("coprime decomposition needs unit coefficients")
@@ -305,7 +305,7 @@ def _coprime_decomposition(layout, M, N, ord, field):
         if m == lm_n:
             continue
         s = c * unit_inv
-        sign = 1 if s == field.of(1) else -1
+        sign = 1 if s == 1 else -1
         col_terms.append(DecompTerm(sign, m, PseudoMinorRef(M.vertex, M.rows, M.cols)))
     return Decomposition(M, N, tuple(row_terms), tuple(col_terms))
 
@@ -314,11 +314,11 @@ def p_decomposition(layout, M, N, ord, field=QQ):
     if M == N:
         return Decomposition(M, N, (), ())
     if M.vertex == N.vertex:
-        return _coset_decomposition(analyze(layout, M, N, ord, field))
+        return _coset_decomposition(analyze(layout, M, N, ord))
     role_m = layout.roles[M.vertex]
     role_n = layout.roles[N.vertex]
     if role_m == "sink" and role_n == "source":
-        return _coset_decomposition(analyze(layout, M, N, ord, field))
+        return _coset_decomposition(analyze(layout, M, N, ord))
     if role_m == "source" and role_n == "sink":
         # the machinery is oriented sink-first; mirror the swapped pair
         rev = p_decomposition(layout, N, M, ord, field)
@@ -330,8 +330,7 @@ def expand_term(layout, term, field=QQ):
     p = expand_pseudominor(layout, term.pm, field)
     if p.is_zero():
         return p
-    coeff = field.of(term.sign)
-    return poly_scale(p, (coeff, term.cofactor))
+    return poly_scale(p, (term.sign, term.cofactor))
 
 
 def expand_decomposition(layout, d, field=QQ):
@@ -478,8 +477,8 @@ def _is_maximal_defect(an, kind, j, k, r, s, t):
 
 
 def distance(layout, M, N, ord):
-    _, lm_m = minor_leading_term(layout, M, ord)
-    _, lm_n = minor_leading_term(layout, N, ord)
+    lm_m = minor_leading_term(layout, M, ord)
+    lm_n = minor_leading_term(layout, N, ord)
     vm, vn = mono_vars(lm_m), mono_vars(lm_n)
     return len(vm) + len(vn) - 2 * len(vm & vn)
 
@@ -546,7 +545,7 @@ def transplant(layout, M, N, defect, ord):
     require(len(chosen) == u, "transplant changed the minor size")
     pts = [an.points[i - 1] for i in chosen]
     P = _ref_from_points(layout, M.vertex, pts)
-    _, lm_p = minor_leading_term(layout, P, ord)
+    lm_p = minor_leading_term(layout, P, ord)
     require(mono_divides(lm_p, an.L), "transplant leading term does not divide the lcm")
     require(P != M and P != N, "transplant returned an end of the pair")
     d_mp = distance(layout, M, P, ord)
@@ -602,7 +601,7 @@ def cross_transplant(layout, M, N, viol, ord):
     require(len(chosen) == u, "cross transplant changed the minor size")
     pts = [an.points[i - 1] for i in chosen]
     P = _ref_from_points(layout, an.M.vertex, pts)
-    _, lm_p = minor_leading_term(layout, P, ord)
+    lm_p = minor_leading_term(layout, P, ord)
     require(mono_divides(lm_p, an.L),
             "cross transplant leading term does not divide the lcm")
     require(distance(layout, P, an.N, ord)
@@ -627,8 +626,8 @@ def _mirror(d):
 def _small_step(layout, F, G, ord, field):
     """The decomposition of one chain step: P(F,G) if its leading terms stay
     below the lcm, else P(G,F) mirrored if its terms do, else None."""
-    _, lf = minor_leading_term(layout, F, ord)
-    _, lg = minor_leading_term(layout, G, ord)
+    lf = minor_leading_term(layout, F, ord)
+    lg = minor_leading_term(layout, G, ord)
     L = mono_lcm(lf, lg)
     d = p_decomposition(layout, F, G, ord, field)
     if has_small_lts(layout, d, L, ord, field):
@@ -691,8 +690,8 @@ def _diagonal_minors_dividing(layout, vertex, L, size):
 def build_chain(layout, M, N, ord, field=QQ):
     if M.vertex == N.vertex:
         return ChainCertificate(*_same_matrix_chain(layout, M, N, ord, field))
-    _, lm = minor_leading_term(layout, M, ord)
-    _, ln = minor_leading_term(layout, N, ord)
+    lm = minor_leading_term(layout, M, ord)
+    ln = minor_leading_term(layout, N, ord)
     L = mono_lcm(lm, ln)
     cand_m = _diagonal_minors_dividing(layout, M.vertex, L, M.size)
     cand_n = _diagonal_minors_dividing(layout, N.vertex, L, N.size)
@@ -718,11 +717,11 @@ def verify_chain(layout, cert, ord, field=QQ):
         return not cert.steps
     if len(cert.steps) != len(refs) - 1:
         return False
-    _, lm0 = minor_leading_term(layout, refs[0], ord)
-    _, lmk = minor_leading_term(layout, refs[-1], ord)
+    lm0 = minor_leading_term(layout, refs[0], ord)
+    lmk = minor_leading_term(layout, refs[-1], ord)
     L_end = mono_lcm(lm0, lmk)
     for ref in refs:
-        _, lm = minor_leading_term(layout, ref, ord)
+        lm = minor_leading_term(layout, ref, ord)
         if not mono_divides(lm, L_end):
             return False
     for i, d in enumerate(cert.steps):
@@ -734,8 +733,8 @@ def verify_chain(layout, cert, ord, field=QQ):
         target = s_polynomial(pf, pg, ord)
         if expand_decomposition(layout, d, field) != target:
             return False
-        _, lf = minor_leading_term(layout, F, ord)
-        _, lg = minor_leading_term(layout, G, ord)
+        lf = minor_leading_term(layout, F, ord)
+        lg = minor_leading_term(layout, G, ord)
         key_l = ord.key(mono_lcm(lf, lg))
         for t in d.row_terms + d.col_terms:
             # every surviving pseudominor must be a natural generator in disguise
@@ -795,9 +794,7 @@ def render_decomposition(layout, d, ord):
             return "(empty)"
         bits = []
         for t in terms:
-            cof = "*".join(layout.var_name(v) for v, e in
-                           sorted(t.cofactor, key=lambda p: ord.rank_of(p[0]))
-                           for _ in range(e))
+            cof = render_monomial(t.cofactor, ord, layout.var_name)
             bits.append(f"[{'+' if t.sign > 0 else '-'} {cof or '1'} "
                         f"pm {render_minor_spec(t.pm)}]")
         return " ".join(bits)

@@ -10,11 +10,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .poly import (
-    QQ, DomainError, InputError, OrderSpec, PreparedBasis, poly_mul, poly_neg,
-    poly_var, require,
+    QQ, DomainError, InputError, OrderSpec, PreparedBasis, poly_neg, poly_var,
+    require,
 )
 from .layout import QuiverSpec, build_layout, default_order
-from .minors import natural_generators
+from .minors import det_poly_matrix, natural_generators
 from .groebner import buchberger_check, ideal_membership
 
 
@@ -138,8 +138,6 @@ def flatten(X, j):
 
 def parse_tensor(text):
     """Line 1: ``shape a1 a2 ... an``; then entries in row-major order."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
     body = " ".join(lines).split()
     if not body or body[0] != "shape":
@@ -167,7 +165,7 @@ def parse_tensor(text):
         if len(body) - 1 - n == t:
             try:
                 vals = [Fraction(tok) for tok in body[1 + n:]]
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad tensor entry: {exc}") from None
             return Tensor(tuple(shape[:n]), vals)
     raise InputError("entry count does not match any shape prefix")
@@ -203,31 +201,6 @@ def matrix_rank(M):
         rank += 1
         col += 1
     return rank
-
-
-def det_poly_matrix(M):
-    """Determinant of a square matrix of polynomials (DP over column masks).
-
-    The DP starts from the first row rather than from a constant 1, so it
-    works over any coefficient field."""
-    n = len(M)
-    if not n or any(len(row) != n for row in M):
-        raise InputError("determinant needs a nonempty square matrix")
-    prev = {1 << j: M[0][j] for j in range(n)}
-    for i in range(1, n):
-        nxt = {}
-        for mask, sub in prev.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                term = poly_mul(sub, M[i][j])
-                if (mask >> (j + 1)).bit_count() & 1:
-                    term = poly_neg(term)
-                key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        prev = nxt
-    return prev[(1 << n) - 1]
 
 
 def _poly_minors(M, size):

@@ -256,3 +256,26 @@ class TestArgErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["check", "--quiver", "x.q", "--bogus"]) == 2
+
+
+class TestBadFiles:
+    def test_zero_denominator_entry(self, capsys, tmp_path):
+        p = tmp_path / "zero.t"
+        p.write_text("shape 2 2\n1 2 3 1/0\n")
+        code, out, err = run(capsys, "tensor", "flatten", "--data", str(p), "--axis", "1")
+        assert code == 2 and out == "" and "bad tensor entry" in err
+
+    @pytest.mark.parametrize("what", ["quiver", "order", "tensor"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, what):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe not text\n")
+        if what == "quiver":
+            argv = ("check", "--quiver", str(bad))
+        elif what == "order":
+            q = tmp_path / "ordered.q"
+            q.write_text(KEY_Q + "order bad\n")
+            argv = ("check", "--quiver", str(q))
+        else:
+            argv = ("tensor", "flatten", "--data", str(bad), "--axis", "1")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"cannot read {what} file" in err

@@ -1,19 +1,41 @@
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivergb.layout import build_layout, default_order, parse_order_file, parse_quiver
 from quivergb.minors import (
-    MinorRef, PseudoMinorRef, enumerate_minors, expand_minor,
+    MinorRef, PseudoMinorRef, det_poly_matrix, enumerate_minors, expand_minor,
     expand_pseudominor, minor_leading_term, minor_points, natural_generators,
     parse_minor_spec, render_minor_spec,
 )
 from quivergb.poly import (
-    DomainError, GFElement, InputError, OrderSpec, PrimeField, leading_term,
-    render,
+    QQ, DomainError, GFElement, InputError, OrderSpec, Polynomial, PrimeField,
+    leading_term, poly_var, render,
 )
 
 from conftest import make_instance
 
 DOUBLE_2X2 = "vertices 2\narrow 1 2\narrow 1 2\nm 2 2\nrank 1 1\n"
+FOUR_VERTEX = ("vertices 4\n" + "arrow 1 3\n" * 3 + "arrow 1 4\n" * 2 +
+               "arrow 2 3\n" + "arrow 2 4\n" * 2 + "m 2 2 2 2\nrank 1 1 1 1\n")
+
+
+def leibniz(grid):
+    """The determinant as the signed sum over permutations, term by term."""
+    n = len(grid)
+    total = Polynomial()
+    for perm in permutations(range(n)):
+        term = grid[0][perm[0]]
+        for i in range(1, n):
+            term = term * grid[i][perm[i]]
+        odd = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2)) & 1
+        total = total - term if odd else total + term
+    return total
+
+
+square_ids = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=n, max_size=n))
 
 
 class TestRefs:
@@ -53,6 +75,13 @@ class TestExpansion:
         b = expand_pseudominor(layout, PseudoMinorRef(2, (2, 1), (1, 2)))
         assert a == -b
 
+    @settings(max_examples=150, deadline=None)
+    @given(square_ids, st.sampled_from([QQ, PrimeField(7)]))
+    def test_det_poly_matrix_is_the_leibniz_sum(self, ids, field):
+        # repeated variables make coefficients other than +-1, and zeros mod 7
+        grid = [[poly_var(v, field) for v in row] for row in ids]
+        assert det_poly_matrix(grid) == leibniz(grid)
+
     def test_out_of_bounds(self, single_3x3):
         layout, _ = single_3x3
         with pytest.raises(InputError):
@@ -75,11 +104,15 @@ class TestExpansion:
 
 class TestLeadingTerm:
     def test_diagonal_fast_path(self, double_2x2):
-        layout, ord = double_2x2
-        for ref in enumerate_minors(layout, 2, 2):
-            fast = minor_leading_term(layout, ref, ord)
-            slow = leading_term(expand_minor(layout, ref), ord)
-            assert fast == slow
+        four = make_instance(FOUR_VERTEX)
+        cases = [(double_2x2, enumerate_minors(double_2x2[0], 2, 2)),
+                 (four, [ref for ref, _ in natural_generators(four[0])])]
+        for (layout, ord), refs in cases:
+            for field in (QQ, PrimeField(7)):
+                for ref in refs:
+                    fast = minor_leading_term(layout, ref, ord)
+                    slow = leading_term(expand_minor(layout, ref, field), ord)
+                    assert slow == (1, fast)
 
     def test_inconsistent_order_refused(self, double_2x2):
         layout, _ = double_2x2

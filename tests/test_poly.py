@@ -12,7 +12,7 @@ from quivergb.minors import natural_generators
 from quivergb.poly import (
     QQ, DomainError, GFElement, InputError, OrderSpec, Polynomial,
     PreparedBasis, PrimeField, inverse, leading_term, mono_div, mono_divides,
-    mono_from, mono_gcd_is_one, mono_lcm, mono_mul, poly_add, poly_const,
+    mono_from, mono_lcm, mono_mul, poly_add, poly_const,
     poly_from_terms, poly_mul, poly_scale, poly_sub, poly_var, reduce,
     render, s_polynomial, sorted_terms,
 )
@@ -39,8 +39,10 @@ class TestMonomials:
 
     def test_lcm_and_gcd(self):
         assert mono_lcm(m((0, 2)), m((0, 1), (1, 3))) == m((0, 2), (1, 3))
-        assert mono_gcd_is_one(m((0, 1)), m((1, 1)))
-        assert not mono_gcd_is_one(m((0, 1)), m((0, 1)))
+        lvars = PreparedBasis([Polynomial({m((0, 1)): 1}), Polynomial({m((1, 1)): 1}),
+                               Polynomial({m((0, 1)): 1})], ORD3).lvars
+        assert lvars[0].isdisjoint(lvars[1])
+        assert not lvars[0].isdisjoint(lvars[2])
 
     def test_order_key_is_lex(self):
         # rank 0 is the largest variable

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivergb.minors import (
-    MinorRef, PseudoMinorRef, _det_var_grid, _submatrix, enumerate_minors,
+    MinorRef, PseudoMinorRef, _submatrix, det_poly_matrix, enumerate_minors,
     expand_minor, minor_leading_term, natural_generators,
 )
 from quivergb.poly import (
     QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term,
-    mono_divides, mono_from, mono_lcm, poly_add, render, s_polynomial,
+    mono_divides, mono_from, mono_lcm, poly_add, poly_var, render, s_polynomial,
 )
 from quivergb import spair
 from quivergb.layout import build_layout, default_order, parse_quiver
@@ -116,7 +116,7 @@ class TestDecomposition:
         sign, cof, pm = spair.p_col(an, {i: i for i in an.S_N})
         assert sign == 1
         got = spair.expand_term(layout, spair.DecompTerm(sign, cof, pm))
-        lt_m = minor_leading_term(layout, M3, ord)[1]
+        lt_m = minor_leading_term(layout, M3, ord)
         from quivergb.poly import mono_div, poly_scale
         from fractions import Fraction
         want = poly_scale(expand_minor(layout, M3), (Fraction(1), mono_div(an.L, lt_m)))
@@ -284,7 +284,7 @@ class TestCrossTransplant:
                 assert "swap" in str(exc)
                 continue
             hit += 1
-            _, lm = minor_leading_term(layout, P, ord)
+            lm = minor_leading_term(layout, P, ord)
             assert mono_divides(lm, an.L)
             assert spair.distance(layout, P, an.N, ord) < \
                 spair.distance(layout, an.M, an.N, ord)
@@ -423,4 +423,6 @@ class TestMemos:
         # no caller changed an expansion that the memo shares
         for (vertex, rows, cols, char), det in layout.dets.items():
             ref = PseudoMinorRef(vertex, rows, cols)
-            assert det == _det_var_grid(_submatrix(layout, ref), PrimeField(char) if char else QQ)
+            field = PrimeField(char) if char else QQ
+            grid = [[poly_var(v, field) for v in row] for row in _submatrix(layout, ref)]
+            assert det == det_poly_matrix(grid)
