@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .poly import (
     DomainError, PreparedBasis, inverse, leading_term, mono_divides,
-    mono_is_squarefree, poly_scale, prepared, reduce, render, s_polynomial,
+    mono_is_squarefree, poly_scale, prepared, reduce, render,
 )
 
 
@@ -35,28 +35,19 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _check_pair(basis, ord, i, j, coprime_skip):
-    if coprime_skip and basis.lvars[i].isdisjoint(basis.lvars[j]):
-        return "skip", None
-    G = basis.polys
-    S = s_polynomial(G[i], G[j], ord, basis.lts[i], basis.lts[j])
-    rem, _ = reduce(S, basis, ord)
-    if rem.is_zero():
-        return "zero", None
-    return "fail", rem
-
-
 def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
     """Reduce every S-pair of G (a list or a PreparedBasis) by G, in pair-index order."""
     basis = prepared(G, ord)
-    n = len(basis.polys)
+    lvars = basis.lvars
+    n = len(lvars)
     report = CheckReport(total_pairs=n * (n - 1) // 2)
     for i in range(n):
         for j in range(i + 1, n):
-            kind, rem = _check_pair(basis, ord, i, j, coprime_skip)
-            if kind == "skip":
+            if coprime_skip and lvars[i].isdisjoint(lvars[j]):
                 report.skipped_coprime += 1
-            elif kind == "zero":
+                continue
+            rem = basis.s_pair_remainder(i, j)
+            if rem.is_zero():
                 report.reduced_to_zero += 1
             else:
                 report.failures.append((i, j, rem))
@@ -104,7 +95,7 @@ def buchberger_complete(F, ord):
         if f.is_zero():
             raise DomainError("zero polynomial in input")
         basis.append(_monic(f, ord))
-    G, lts, lvars = basis.polys, basis.lts, basis.lvars
+    G, lvars = basis.polys, basis.lvars
     queue = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     head = 0
     while head < len(queue):
@@ -112,7 +103,7 @@ def buchberger_complete(F, ord):
         head += 1
         if lvars[i].isdisjoint(lvars[j]):
             continue
-        rem, _ = reduce(s_polynomial(G[i], G[j], ord, lts[i], lts[j]), basis, ord)
+        rem = basis.s_pair_remainder(i, j)
         if rem.is_zero():
             continue
         basis.append(_monic(rem, ord))

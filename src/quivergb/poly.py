@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import neg
 
 
 class InputError(ValueError):
@@ -172,9 +171,6 @@ def coeff_is_negative(c):
 # ---------------------------------------------------------------------------
 # monomials
 
-MONO_ONE = ()
-
-
 def mono_from(pairs):
     """Build a monomial from (var, exp) pairs, merging repeats."""
     acc = {}
@@ -308,10 +304,6 @@ def poly_from_terms(terms):
     return Polynomial(acc)
 
 
-def poly_const(c):
-    return Polynomial({MONO_ONE: c}) if c else Polynomial()
-
-
 def poly_var(v, field=QQ):
     return Polynomial({((v, 1),): field.of(1)})
 
@@ -386,59 +378,235 @@ def s_polynomial(f, g, ord, lt_f=None, lt_g=None):
     return poly_sub(left, right)
 
 
+class _Overflow(Exception):
+    """An exponent outgrew its packed field: the basis widens and the division restarts."""
+
+
 class PreparedBasis:
     """The generators of a division, with what every division by them needs
-    worked out once: their leading terms, and a map from each variable to
-    the generators anchored at it (one variable of the leading monomial),
-    and the variable set of each leading monomial for coprimality tests.
+    worked out once, and the division engine that uses it.
 
-    Natural generators have squarefree diagonal leading monomials, so a term
-    m has few candidate divisors: those anchored at one of m's variables.
+    Kept per generator: the polynomial, its leading term, the variable set
+    of its leading monomial (for coprimality tests), the inverse of its
+    leading coefficient, and its terms with packed monomials.
+
+    A packed monomial (Monagan and Pearce, "Sparse polynomial division
+    using a heap", J. Symb. Comput. 46, 2011) is an int with one
+    ``width``-bit field per variable, rank 0 in the most significant field.
+    No exponent sets the top bit of its field, so with ``guard`` the mask of
+    those bits: packed ints compare in the order's lex order, multiplying
+    monomials is ``+``, dividing is ``-``, and ``a | b`` exactly when
+    ``(b - a) & guard == 0``.  The width starts at 8.  An exponent that does
+    not fit, whether packed from outside or made by a product, doubles it:
+    every generator is packed again and the division starts again.  Division
+    is deterministic, so the restart gives what wider fields would have
+    given at once.
+
+    Each generator is filed under the top field of its leading monomial,
+    ``bit_length() // width``.  Natural generators have squarefree diagonal
+    leading monomials, so a term has few candidate divisors: those filed
+    under one of its fields.
     """
 
-    __slots__ = ("polys", "ord", "lts", "lvars", "_anchored", "_const")
+    __slots__ = ("polys", "ord", "lts", "lvars", "width", "guard", "_invs", "_vars",
+                 "_terms", "_lms", "_anchored", "_const", "_below")
 
     def __init__(self, G, ord):
         self.polys = []
         self.ord = ord
         self.lts = []  # (coeff, monomial) of each generator's leading term
         self.lvars = []  # frozenset of the variables of each leading monomial
-        self._anchored = {}  # var -> [(index, leading monomial)], indices ascending
-        self._const = None  # lowest index with a constant leading monomial
+        self._invs = []  # inverse of each generator's leading coefficient
+        n = ord.nvars
+        self._vars = [None] * n  # the variable of each field, lowest field first
+        for v, r in ord.rank.items():
+            self._vars[n - 1 - r] = v
+        self._set_width(8)
         for g in G:
             self.append(g)
+
+    def _set_width(self, width):
+        """Use fields of ``width`` bits, with no generator packed yet."""
+        n = self.ord.nvars
+        self.width = width
+        self.guard = sum(1 << (width * f + width - 1) for f in range(n))
+        self._below = [(1 << (width * f)) - 1 for f in range(n)]  # fields under f
+        self._terms = []  # [(packed monomial, coeff)] of each generator
+        self._lms = []  # packed leading monomial of each generator
+        self._anchored = [[] for _ in range(n)]  # field -> [(index, packed lm)], ascending
+        self._const = None  # lowest index with a constant leading monomial
 
     def append(self, g):
         """Add g at the next index.  No earlier index changes, so divisor()
         still returns the lowest eligible index."""
         if g.is_zero():
             raise DomainError("zero generator in division")
-        idx = len(self.polys)
         lt = leading_term(g, self.ord)
         self.polys.append(g)
         self.lts.append(lt)
-        lm = lt[1]
-        self.lvars.append(mono_vars(lm))
+        self.lvars.append(mono_vars(lt[1]))
+        self._invs.append(inverse(lt[0]))
+        try:
+            self._file(g, lt[1])
+        except _Overflow:
+            self._widen()
+
+    def _file(self, g, lm):
+        """Pack g at the current width and file it under its anchor field."""
+        terms = [(self.pack(m), c) for m, c in g.terms.items()]
+        lm = self.pack(lm)
+        idx = len(self._terms)
+        self._terms.append(terms)
+        self._lms.append(lm)
         if lm:
-            self._anchored.setdefault(lm[0][0], []).append((idx, lm))
+            self._anchored[lm.bit_length() // self.width].append((idx, lm))
         elif self._const is None:
             self._const = idx  # a constant divides every monomial
 
+    def _widen(self):
+        """Double the width until every generator fits, and pack them all again."""
+        while True:
+            self._set_width(2 * self.width)
+            try:
+                for g, (_, lm) in zip(self.polys, self.lts):
+                    self._file(g, lm)
+                return
+            except _Overflow:
+                continue
+
+    def pack(self, mono):
+        """The packed int of a monomial at the current width; _Overflow when
+        an exponent does not fit."""
+        width, rank_of, top = self.width, self.ord.rank_of, self.ord.nvars - 1
+        packed = 0
+        for v, e in mono:
+            if e >> (width - 1):
+                raise _Overflow
+            packed += e << (width * (top - rank_of(v)))
+        return packed
+
+    def unpack(self, packed):
+        """The monomial of a packed int."""
+        width, mask = self.width, (1 << self.width) - 1
+        out = []
+        for v in self._vars:
+            if not packed:
+                break
+            if packed & mask:
+                out.append((v, packed & mask))
+            packed >>= width
+        return tuple(sorted(out))
+
     def divisor(self, m):
-        """Lowest index whose leading monomial divides m, or None."""
+        """Lowest index whose leading monomial divides the packed monomial m, or None."""
         best = self._const
-        exps = dict(m)
-        for v in exps:
-            for idx, lm in self._anchored.get(v, ()):
+        guard, width, anchored, below = self.guard, self.width, self._anchored, self._below
+        rest = m
+        while rest:  # m's fields, from the top
+            f = rest.bit_length() // width
+            for idx, lm in anchored[f]:
                 if best is not None and idx >= best:
                     break
-                for w, e in lm:
-                    if exps.get(w, 0) < e:
-                        break
-                else:  # lm divides m
+                if not (m - lm) & guard:
                     best = idx
                     break
+            rest &= below[f]
         return best
+
+    def _lcm(self, a, b):
+        """Fieldwise max of two packed monomials."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+        take_a = ge - (ge >> (self.width - 1))  # those fields below their guard bit
+        return b ^ ((a ^ b) & take_a)
+
+    def _s_polynomial(self, i, j):
+        """S(G[i], G[j]) as {packed monomial: coeff}, with s_polynomial's arithmetic."""
+        lm_i, lm_j = self._lms[i], self._lms[j]
+        big = self._lcm(lm_i, lm_j)
+        cof, inv = big - lm_i, self._invs[i]
+        work = {cof + m: inv * c for m, c in self._terms[i]}
+        cof, inv = big - lm_j, self._invs[j]
+        for m, c in self._terms[j]:
+            m += cof
+            d = inv * c
+            if m in work:
+                s = work[m] - d
+                if s:
+                    work[m] = s
+                else:
+                    del work[m]
+            else:
+                work[m] = -d
+        return work
+
+    def _divide(self, work):
+        """Divide {packed monomial: coeff} by the basis, in place.
+
+        Returns (work, used): work is now the remainder, and used lists the
+        cofactors as (coeff, packed monomial, index).  The largest reducible
+        term is cancelled first, by the lowest-index eligible generator."""
+        guard = self.guard
+        if any(m & guard for m in work):
+            raise _Overflow
+        terms, lms, invs, divisor = self._terms, self._lms, self._invs, self.divisor
+        # Max-heap of monomials as negated packed ints.  A step cancels its
+        # target and adds only smaller monomials, so each monomial is pushed
+        # once and popped after every larger one is settled.
+        heap = [-m for m in work]
+        heapify(heap)
+        queued = set(work)
+        used = []
+        while heap:
+            m = -heappop(heap)
+            c = work.get(m)
+            if c is None:  # cancelled since it was queued
+                continue
+            idx = divisor(m)
+            if idx is None:  # irreducible: it stays in the remainder
+                continue
+            cof_c = c * invs[idx]
+            cof_m = m - lms[idx]
+            used.append((cof_c, cof_m, idx))
+            for gm, gc in terms[idx]:
+                mm = cof_m + gm
+                delta = cof_c * gc
+                if mm in work:
+                    s = work[mm] - delta
+                    if s:
+                        work[mm] = s
+                    else:
+                        del work[mm]
+                elif delta:
+                    if mm & guard:  # an exponent outgrew its field
+                        raise _Overflow
+                    work[mm] = -delta
+                    if mm not in queued:
+                        queued.add(mm)
+                        heappush(heap, -mm)
+        return work, used
+
+    def _run(self, make_work):
+        """_divide(make_work()), widening and starting again on overflow."""
+        while True:
+            try:
+                return self._divide(make_work())
+            except _Overflow:
+                self._widen()
+
+    def divide(self, f):
+        """(remainder, used) of the polynomial f divided by the basis; see reduce()."""
+        work, used = self._run(lambda: {self.pack(m): c for m, c in f.terms.items()})
+        unpack = self.unpack
+        return (Polynomial({unpack(m): c for m, c in work.items()}),
+                [((c, unpack(m)), idx) for c, m, idx in used])
+
+    def s_pair_remainder(self, i, j):
+        """The remainder of S(G[i], G[j]) divided by the basis, formed and
+        divided packed; only the remainder's terms are unpacked."""
+        work, _ = self._run(lambda: self._s_polynomial(i, j))
+        unpack = self.unpack
+        return Polynomial({unpack(m): c for m, c in work.items()})
 
 
 def prepared(G, ord):
@@ -457,43 +625,7 @@ def reduce(f, G, ord):
     is divisible by any LM(g).  Deterministic: the largest reducible term is
     cancelled first, by the lowest-index eligible generator.
     """
-    basis = prepared(G, ord)
-    key = ord.key
-    work = dict(f.terms)
-    # Max-heap of monomials by the negated dense key.  A step cancels its
-    # target and adds only smaller monomials, so each monomial is pushed
-    # once and popped after every larger one is settled.
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
-    heapify(heap)
-    queued = set(work)
-    used = []
-    while heap:
-        m = heappop(heap)[1]
-        c = work.get(m)
-        if c is None:  # cancelled since it was queued
-            continue
-        idx = basis.divisor(m)
-        if idx is None:  # irreducible: it stays in the remainder
-            continue
-        lc, lm = basis.lts[idx]
-        cof_c = c * inverse(lc)
-        cof_m = mono_div(m, lm)
-        used.append(((cof_c, cof_m), idx))
-        for gm, gc in basis.polys[idx].terms.items():
-            mm = mono_mul(cof_m, gm)
-            delta = cof_c * gc
-            if mm in work:
-                s = work[mm] - delta
-                if s:
-                    work[mm] = s
-                else:
-                    del work[mm]
-            elif delta:
-                work[mm] = -delta
-                if mm not in queued:
-                    queued.add(mm)
-                    heappush(heap, (tuple(map(neg, key(mm))), mm))
-    return Polynomial(work), used
+    return prepared(G, ord).divide(f)
 
 
 def render_monomial(m, ord, namer):

@@ -7,9 +7,9 @@ from quivergb.groebner import (
     initial_ideal_gens, is_squarefree,
 )
 from quivergb.layout import default_order
-from quivergb.minors import MinorRef, expand_minor, natural_generators
+from quivergb.minors import natural_generators
 from quivergb.poly import (
-    DomainError, OrderSpec, PreparedBasis, leading_term, mono_from, poly_add,
+    DomainError, OrderSpec, PreparedBasis, leading_term, mono_from,
     poly_mul, poly_sub, poly_var, render,
 )
 from quivergb.tensors import double_det_generators

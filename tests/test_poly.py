@@ -12,7 +12,7 @@ from quivergb.minors import natural_generators
 from quivergb.poly import (
     QQ, DomainError, GFElement, InputError, OrderSpec, Polynomial,
     PreparedBasis, PrimeField, inverse, leading_term, mono_div, mono_divides,
-    mono_from, mono_lcm, mono_mul, poly_add, poly_const,
+    mono_from, mono_lcm, mono_mul, poly_add,
     poly_from_terms, poly_mul, poly_scale, poly_sub, poly_var, reduce,
     render, s_polynomial, sorted_terms,
 )
@@ -119,13 +119,13 @@ class TestDivision:
 
     def test_constant_generator_divides_everything(self):
         x, y = poly_var(0), poly_var(1)
-        f = poly_add(poly_mul(x, y), poly_const(Fraction(5)))
-        rem, used = reduce(f, [poly_sub(x, y), poly_const(Fraction(2))], ORD3)
+        f = poly_add(poly_mul(x, y), Polynomial({(): Fraction(5)}))
+        rem, used = reduce(f, [poly_sub(x, y), Polynomial({(): Fraction(2)})], ORD3)
         # x*y by x - y; then y*y and 5 by the constant
         assert rem.is_zero()
         assert [idx for _, idx in used] == [0, 1, 1]
-        basis = PreparedBasis([poly_const(Fraction(3)), x], ORD3)
-        assert basis.divisor(m((0, 1))) == 0 and basis.divisor(()) == 0
+        basis = PreparedBasis([Polynomial({(): Fraction(3)}), x], ORD3)
+        assert basis.divisor(basis.pack(m((0, 1)))) == 0 and basis.divisor(basis.pack(())) == 0
 
     def test_zero_generator_refused(self):
         G = [poly_var(0), Polynomial()]
@@ -291,6 +291,93 @@ class TestExactCoefficients:
         for A, B in combinations([r for r, _ in natural_generators(layout)], 2):
             assert spair.verify_chain(layout, spair.build_chain(layout, A, B, ord), ord)
         assert seen and all(type(c) is int for c in seen)
+
+    def test_packed_s_pairs_stay_integral(self):
+        # the S-polynomials that buchberger_check forms packed, and every
+        # cofactor of their divisions, over QQ for (2,2,2,2,2)
+        layout, gens = double_det_generators(2, 2, 2, 2, 2)
+        basis = PreparedBasis([p for _, p in gens], default_order(layout))
+        for i, j in combinations(range(len(basis.polys)), 2):
+            work = basis._s_polynomial(i, j)
+            seen = list(work.values())
+            rem, used = basis._divide(work)
+            seen += [c for c, _, _ in used]
+            assert not rem and seen and all(type(c) is int for c in seen)
+
+
+class TestPackedDivision:
+    """The division engine of PreparedBasis works on packed monomials and
+    widens its fields when an exponent does not fit."""
+
+    LEX_XY = OrderSpec({0: 0, 1: 1})  # x > y
+
+    def test_widening_during_division(self):
+        x = poly_var(0)
+        basis = PreparedBasis([poly_of((1, {0: 1}), (-1, {1: 100}))], self.LEX_XY)
+        assert basis.width == 8
+        # x**2 -> x*y**100 -> y**200, whose exponent outgrows an 8-bit field
+        rem, used = reduce(poly_mul(x, x), basis, self.LEX_XY)
+        assert basis.width == 16
+        assert rem == poly_of((1, {1: 200}))
+        assert used == [((1, m((0, 1))), 0), ((1, m((1, 100))), 0)]
+        assert reduce(poly_mul(x, x), list(basis.polys), self.LEX_XY) == (rem, used)
+        assert basis.divisor(basis.pack(m((0, 1), (1, 200)))) == 0
+        assert basis.divisor(basis.pack(m((1, 200)))) is None
+
+    def test_widening_at_pack_time(self):
+        # an input term y**300, and a generator y**200 - 1 packed 16 bits wide
+        f = poly_of((1, {1: 300}), (1, {0: 1}))
+        rem, used = reduce(f, [poly_of((1, {0: 1}), (-1, {1: 2}))], self.LEX_XY)
+        assert rem == poly_of((1, {1: 300}), (1, {1: 2}))
+        assert used == [((1, ()), 0)]
+        basis = PreparedBasis([poly_of((1, {1: 200}), (-1, {}))], self.LEX_XY)
+        assert basis.width == 16
+        rem, used = reduce(poly_of((1, {1: 450})), basis, self.LEX_XY)
+        assert rem == poly_of((1, {1: 50}))
+        assert used == [((1, m((1, 250))), 0), ((1, m((1, 50))), 0)]
+
+    def test_widening_while_forming_an_s_pair(self):
+        # S(x*y**100 - y**110, y**120 - z) = x*z - y**130: y**20 * y**110 overflows
+        G = [poly_of((1, {0: 1, 1: 100}), (-1, {1: 110})), poly_of((1, {1: 120}), (-1, {2: 1}))]
+        basis = PreparedBasis(G, ORD3)
+        assert basis.width == 8
+        rem = basis.s_pair_remainder(0, 1)
+        assert basis.width == 16
+        assert rem == poly_of((1, {0: 1, 2: 1}), (-1, {1: 10, 2: 1}))
+        assert rem == reduce(s_polynomial(G[0], G[1], ORD3), G, ORD3)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(division_problems())
+    def test_s_pair_remainder_is_the_remainder_of_s_polynomial(self, problem):
+        _, G, ord = problem
+        basis = PreparedBasis(G, ord)
+        for i, j in combinations(range(len(G)), 2):
+            assert basis.s_pair_remainder(i, j) == \
+                reduce(s_polynomial(G[i], G[j], ord), basis, ord)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([QQ, PrimeField(7)]), st.permutations(range(NVARS)),
+           st.lists(st.tuples(st.integers(0, NVARS - 1), st.integers(0, 300)),
+                    max_size=NVARS).map(mono_from),
+           st.lists(st.tuples(st.integers(0, NVARS - 1), st.integers(0, 300)),
+                    max_size=NVARS).map(mono_from))
+    def test_codec(self, field, ranks, a, b):
+        ord = OrderSpec(dict(enumerate(ranks)))
+        ab = mono_mul(a, b)
+        basis = PreparedBasis([Polynomial({mono: field.of(1)}) for mono in (a, b, ab)], ord)
+        # the narrowest width of 8 * 2**k whose fields hold every exponent
+        top = max((e for _, e in ab), default=0)
+        assert top < 2 ** (basis.width - 1)
+        assert basis.width == 8 or top >= 2 ** (basis.width // 2 - 1)
+        pa, pb, pab = basis.pack(a), basis.pack(b), basis.pack(ab)
+        assert basis.unpack(pa) == a and basis.unpack(pb) == b and basis.unpack(pab) == ab
+        assert (pa < pb) == (ord.key(a) < ord.key(b)) and (pa == pb) == (a == b)
+        assert pa + pb == pab
+        assert ((pb - pa) & basis.guard == 0) == mono_divides(a, b)
+        assert ((pa - pb) & basis.guard == 0) == mono_divides(b, a)
+        assert basis._lcm(pa, pb) == basis.pack(mono_lcm(a, b))
+        rem, used = reduce(Polynomial({ab: field.of(2)}), basis, ord)
+        assert rem.is_zero() and used == [((field.of(2), b), 0)]
 
 
 class TestRender:

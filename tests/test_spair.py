@@ -10,10 +10,10 @@ from quivergb.minors import (
 )
 from quivergb.poly import (
     QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term,
-    mono_divides, mono_from, mono_lcm, poly_add, poly_var, render, s_polynomial,
+    mono_divides, mono_from, poly_var, s_polynomial,
 )
 from quivergb import spair
-from quivergb.layout import build_layout, default_order, parse_quiver
+from quivergb.layout import default_order
 from quivergb.tensors import double_det_generators
 
 from conftest import make_instance
