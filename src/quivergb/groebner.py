@@ -114,4 +114,4 @@ def buchberger_complete(F, ord):
 
 def _monic(f, ord):
     c, _ = leading_term(f, ord)
-    return poly_scale(f, (inverse(c), ()))
+    return poly_scale(f, (inverse(c, f.char), ()))

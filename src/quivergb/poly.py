@@ -43,81 +43,6 @@ class Rationals:
         return "QQ"
 
 
-class GFElement:
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise DomainError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.val + other.val, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GFElement(-self.val, self.p)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.val - other.val, self.p)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.val * other.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other ** -1
-
-    def __pow__(self, n):
-        if n < 0 and self.val == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return GFElement(pow(self.val, n, self.p), self.p)
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __repr__(self):
-        return f"{self.val} mod {self.p}"
-
-    def __str__(self):
-        return str(self.val)
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 318665857834031151167461  # least strong pseudoprime to all of them
 
@@ -135,7 +60,8 @@ def is_prime(n):
 
 
 class PrimeField:
-    """GF(p) coefficients, p a machine-word prime."""
+    """GF(p) coefficients, p a prime: a value is an int residue, and a
+    polynomial coefficient one in 1..p-1."""
 
     def __init__(self, p):
         if not is_prime(p):
@@ -144,7 +70,7 @@ class PrimeField:
         self.char = p
 
     def of(self, n):
-        return GFElement(n, self.p)
+        return n % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -153,19 +79,20 @@ class PrimeField:
 QQ = Rationals()
 
 
-def inverse(c):
-    """1/c for a nonzero coefficient; the only place a coefficient is divided.
+def inverse(c, p=0):
+    """1/c for a nonzero coefficient of characteristic p; the only place a
+    coefficient is divided.
 
-    An int +-1 is its own inverse, any other int becomes a Fraction (never
-    a float), and a Fraction or GFElement inverts itself."""
+    Over GF(p) the inverse is the residue ``pow(c, -1, p)``.  Over QQ an int
+    +-1 is its own inverse, any other int becomes a Fraction (never a float),
+    and a Fraction inverts itself.  A zero raises ZeroDivisionError."""
+    if p:
+        if not c % p:
+            raise ZeroDivisionError("inverse of 0 in GF(p)")
+        return pow(c, -1, p)
     if isinstance(c, int):
         return c if c in (1, -1) else Fraction(1, c)
     return c ** -1
-
-
-def coeff_is_negative(c):
-    # only used for rendering; GF(p) values render as bare residues
-    return isinstance(c, (int, Fraction)) and c < 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +183,17 @@ class OrderSpec:
 # polynomials
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial: dict monomial -> coeff."""
+    """Immutable-by-convention sparse polynomial: dict monomial -> coeff.
 
-    __slots__ = ("terms",)
+    ``char`` is the characteristic of the coefficient field: 0 for QQ, or p
+    for GF(p), whose coefficients are ints in 1..p-1.  The arithmetic below
+    reduces mod p wherever it makes a coefficient."""
 
-    def __init__(self, terms=None):
+    __slots__ = ("terms", "char")
+
+    def __init__(self, terms=None, char=0):
         self.terms = dict(terms) if terms else {}
+        self.char = char
 
     def is_zero(self):
         return not self.terms
@@ -269,7 +201,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == other.terms and (self.char == other.char or not self.terms)
 
     __hash__ = None
 
@@ -291,39 +223,56 @@ class Polynomial:
         return "Polynomial(" + " ".join(f"{c}*{m}" for m, c in self.terms.items()) + ")"
 
 
-def poly_from_terms(terms):
+def _char(f, g):
+    """The characteristic of a result made from f and g.  A zero polynomial
+    combines with any field; two nonzero ones must share theirs."""
+    if f.char == g.char or not g.terms:
+        return f.char
+    if not f.terms:
+        return g.char
+    raise DomainError("mixed prime fields")
+
+
+def poly_from_terms(terms, field=QQ):
     """terms: iterable of (coeff, monomial); merges and drops zeros."""
+    p = field.char
     acc = {}
     for c, m in terms:
         if m in acc:
             c = acc[m] + c
+        if p:
+            c %= p
         if c:
             acc[m] = c
         else:
             acc.pop(m, None)
-    return Polynomial(acc)
+    return Polynomial(acc, p)
 
 
 def poly_var(v, field=QQ):
-    return Polynomial({((v, 1),): field.of(1)})
+    return Polynomial({((v, 1),): 1}, field.char)
 
 
 def poly_add(f, g):
+    p = _char(f, g)
     acc = dict(f.terms)
     for m, c in g.terms.items():
         if m in acc:
             s = acc[m] + c
+            if p:
+                s %= p
             if s:
                 acc[m] = s
             else:
                 del acc[m]
         else:
             acc[m] = c
-    return Polynomial(acc)
+    return Polynomial(acc, p)
 
 
 def poly_neg(f):
-    return Polynomial({m: -c for m, c in f.terms.items()})
+    p = f.char
+    return Polynomial({m: p - c if p else -c for m, c in f.terms.items()}, p)
 
 
 def poly_sub(f, g):
@@ -333,12 +282,18 @@ def poly_sub(f, g):
 def poly_scale(f, term):
     """Multiply by a single term (coeff, monomial)."""
     c, m = term
+    p = f.char
+    if p:
+        c %= p
     if not c:
-        return Polynomial()
+        return Polynomial(char=p)
+    if p:
+        return Polynomial({mono_mul(m, fm): c * fc % p for fm, fc in f.terms.items()}, p)
     return Polynomial({mono_mul(m, fm): c * fc for fm, fc in f.terms.items()})
 
 
 def poly_mul(f, g):
+    p = _char(f, g)
     if len(f.terms) > len(g.terms):
         f, g = g, f
     acc = {}
@@ -348,11 +303,13 @@ def poly_mul(f, g):
             c = fc * gc
             if m in acc:
                 c = acc[m] + c
+            if p:
+                c %= p
             if c:
                 acc[m] = c
             else:
                 acc.pop(m, None)
-    return Polynomial(acc)
+    return Polynomial(acc, p)
 
 
 def leading_term(f, ord):
@@ -368,13 +325,13 @@ def sorted_terms(f, ord):
     return [(f.terms[m], m) for m in sorted(f.terms, key=ord.key, reverse=True)]
 
 
-def s_polynomial(f, g, ord, lt_f=None, lt_g=None):
-    """S(f, g); lt_f and lt_g, when given, are the known leading terms."""
-    cf, mf = lt_f or leading_term(f, ord)
-    cg, mg = lt_g or leading_term(g, ord)
+def s_polynomial(f, g, ord):
+    """S(f, g) = (L/LT(f)) f - (L/LT(g)) g, with L the lcm of the leading monomials."""
+    cf, mf = leading_term(f, ord)
+    cg, mg = leading_term(g, ord)
     big = mono_lcm(mf, mg)
-    left = poly_scale(f, (inverse(cf), mono_div(big, mf)))
-    right = poly_scale(g, (inverse(cg), mono_div(big, mg)))
+    left = poly_scale(f, (inverse(cf, f.char), mono_div(big, mf)))
+    right = poly_scale(g, (inverse(cg, g.char), mono_div(big, mg)))
     return poly_sub(left, right)
 
 
@@ -388,7 +345,9 @@ class PreparedBasis:
 
     Kept per generator: the polynomial, its leading term, the variable set
     of its leading monomial (for coprimality tests), the inverse of its
-    leading coefficient, and its terms with packed monomials.
+    leading coefficient, and its terms with packed monomials.  Every
+    generator has the basis's characteristic ``char``, which its first
+    generator sets.
 
     A packed monomial (Monagan and Pearce, "Sparse polynomial division
     using a heap", J. Symb. Comput. 46, 2011) is an int with one
@@ -408,12 +367,13 @@ class PreparedBasis:
     under one of its fields.
     """
 
-    __slots__ = ("polys", "ord", "lts", "lvars", "width", "guard", "_invs", "_vars",
+    __slots__ = ("polys", "ord", "char", "lts", "lvars", "width", "guard", "_invs", "_vars",
                  "_terms", "_lms", "_anchored", "_const", "_below")
 
     def __init__(self, G, ord):
         self.polys = []
         self.ord = ord
+        self.char = 0
         self.lts = []  # (coeff, monomial) of each generator's leading term
         self.lvars = []  # frozenset of the variables of each leading monomial
         self._invs = []  # inverse of each generator's leading coefficient
@@ -441,11 +401,14 @@ class PreparedBasis:
         still returns the lowest eligible index."""
         if g.is_zero():
             raise DomainError("zero generator in division")
+        if self.polys and g.char != self.char:
+            raise DomainError("mixed prime fields")
+        self.char = g.char
         lt = leading_term(g, self.ord)
         self.polys.append(g)
         self.lts.append(lt)
         self.lvars.append(mono_vars(lt[1]))
-        self._invs.append(inverse(lt[0]))
+        self._invs.append(inverse(lt[0], g.char))
         try:
             self._file(g, lt[1])
         except _Overflow:
@@ -522,22 +485,28 @@ class PreparedBasis:
 
     def _s_polynomial(self, i, j):
         """S(G[i], G[j]) as {packed monomial: coeff}, with s_polynomial's arithmetic."""
+        p = self.char
         lm_i, lm_j = self._lms[i], self._lms[j]
         big = self._lcm(lm_i, lm_j)
         cof, inv = big - lm_i, self._invs[i]
-        work = {cof + m: inv * c for m, c in self._terms[i]}
-        cof, inv = big - lm_j, self._invs[j]
+        if p:
+            work = {cof + m: inv * c % p for m, c in self._terms[i]}
+        else:
+            work = {cof + m: inv * c for m, c in self._terms[i]}
+        cof, inv = big - lm_j, -self._invs[j]
         for m, c in self._terms[j]:
             m += cof
             d = inv * c
             if m in work:
-                s = work[m] - d
+                s = work[m] + d
+                if p:
+                    s %= p
                 if s:
                     work[m] = s
                 else:
                     del work[m]
             else:
-                work[m] = -d
+                work[m] = d % p if p else d
         return work
 
     def _divide(self, work):
@@ -546,7 +515,7 @@ class PreparedBasis:
         Returns (work, used): work is now the remainder, and used lists the
         cofactors as (coeff, packed monomial, index).  The largest reducible
         term is cancelled first, by the lowest-index eligible generator."""
-        guard = self.guard
+        guard, p = self.guard, self.char
         if any(m & guard for m in work):
             raise _Overflow
         terms, lms, invs, divisor = self._terms, self._lms, self._invs, self.divisor
@@ -566,13 +535,18 @@ class PreparedBasis:
             if idx is None:  # irreducible: it stays in the remainder
                 continue
             cof_c = c * invs[idx]
+            if p:
+                cof_c %= p
             cof_m = m - lms[idx]
             used.append((cof_c, cof_m, idx))
+            neg_c = -cof_c
             for gm, gc in terms[idx]:
                 mm = cof_m + gm
-                delta = cof_c * gc
+                delta = neg_c * gc
                 if mm in work:
-                    s = work[mm] - delta
+                    s = work[mm] + delta
+                    if p:
+                        s %= p
                     if s:
                         work[mm] = s
                     else:
@@ -580,7 +554,7 @@ class PreparedBasis:
                 elif delta:
                     if mm & guard:  # an exponent outgrew its field
                         raise _Overflow
-                    work[mm] = -delta
+                    work[mm] = delta % p if p else delta
                     if mm not in queued:
                         queued.add(mm)
                         heappush(heap, -mm)
@@ -596,9 +570,12 @@ class PreparedBasis:
 
     def divide(self, f):
         """(remainder, used) of the polynomial f divided by the basis; see reduce()."""
+        char = self.char if self.polys else f.char
+        if f.terms and f.char != char:
+            raise DomainError("mixed prime fields")
         work, used = self._run(lambda: {self.pack(m): c for m, c in f.terms.items()})
         unpack = self.unpack
-        return (Polynomial({unpack(m): c for m, c in work.items()}),
+        return (Polynomial({unpack(m): c for m, c in work.items()}, char),
                 [((c, unpack(m)), idx) for c, m, idx in used])
 
     def s_pair_remainder(self, i, j):
@@ -606,7 +583,7 @@ class PreparedBasis:
         divided packed; only the remainder's terms are unpacked."""
         work, _ = self._run(lambda: self._s_polynomial(i, j))
         unpack = self.unpack
-        return Polynomial({unpack(m): c for m, c in work.items()})
+        return Polynomial({unpack(m): c for m, c in work.items()}, self.char)
 
 
 def prepared(G, ord):
@@ -640,7 +617,7 @@ def render(f, ord, namer):
         return "0"
     out = []
     for c, m in sorted_terms(f, ord):
-        neg = coeff_is_negative(c)
+        neg = c < 0  # a GF(p) residue never is
         mag = -c if neg else c
         out.append("-" if neg else "+")
         mono = render_monomial(m, ord, namer)

@@ -287,15 +287,16 @@ def _coprime_decomposition(layout, M, N, ord, field):
     pm_n = expand_minor(layout, N, field)
     cm, lm_m = leading_term(pm_m, ord)
     cn, lm_n = leading_term(pm_n, ord)
-    unit_inv = inverse(cm * cn)
+    unit_inv = inverse(cm * cn, field.char)
+    minus_one = field.of(-1)  # 1 over GF(2), where every sign is +
     row_terms = []
     for c, m in sorted_terms(pm_m, ord):
         if m == lm_m:
             continue
-        s = c * unit_inv
+        s = field.of(c * unit_inv)
         if s == 1:
             sign = 1
-        elif s == -1:
+        elif s == minus_one:
             sign = -1
         else:  # pragma: no cover - minors have unit coefficients
             raise DomainError("coprime decomposition needs unit coefficients")
@@ -304,8 +305,7 @@ def _coprime_decomposition(layout, M, N, ord, field):
     for c, m in sorted_terms(pm_n, ord):
         if m == lm_n:
             continue
-        s = c * unit_inv
-        sign = 1 if s == 1 else -1
+        sign = 1 if field.of(c * unit_inv) == 1 else -1
         col_terms.append(DecompTerm(sign, m, PseudoMinorRef(M.vertex, M.rows, M.cols)))
     return Decomposition(M, N, tuple(row_terms), tuple(col_terms))
 

@@ -3,6 +3,10 @@ import pytest
 from quivergb.layout import build_layout, default_order, parse_quiver
 
 
+FOUR_VERTEX = ("vertices 4\n" + "arrow 1 3\n" * 3 + "arrow 1 4\n" * 2 +
+               "arrow 2 3\n" + "arrow 2 4\n" * 2 + "m 2 2 2 2\nrank 1 1 1 1\n")
+
+
 def make_instance(text):
     spec = parse_quiver(text)
     layout = build_layout(spec)

@@ -2,6 +2,8 @@ import pytest
 
 from quivergb.cli import main
 
+from conftest import FOUR_VERTEX
+
 
 KEY_Q = "vertices 2\narrow 1 2\nm 3 3\nrank 1 1\n"
 TEX = "shape 2 2 2\n0 4 2 6 1 5 3 7\n"
@@ -140,6 +142,19 @@ class TestSpair:
         assert "rows: [- x[3,1,1] pm 2:1,2;2,3]" in out
         assert "cols: [- x[1,3,1] pm 2:2,3;1,2]" in out
         assert "identity true small-lts true" in out
+
+    def test_gf2_coprime_decomposition_golden(self, capsys, tmp_path):
+        # the two minors share no page; over GF(2), -1 == +1, so both signs are +
+        q = tmp_path / "four.q"
+        q.write_text(FOUR_VERTEX)
+        code, out, _ = run(capsys, "spair", "--quiver", str(q), "--field", "2",
+                           "--m1", "3:1,2;1,2", "--m2", "4:1,2;1,2", "--decompose")
+        assert code == 0
+        assert out == (
+            "S +x[1,1,1]*x[2,2,1]*x[1,2,4]*x[2,1,4]+x[1,2,1]*x[2,1,1]*x[1,1,4]*x[2,2,4]\n"
+            "rows: [+ x[1,2,1]*x[2,1,1] pm 4:1,2;1,2]\n"
+            "cols: [+ x[1,2,4]*x[2,1,4] pm 3:1,2;1,2]\n"
+            "identity true small-lts true\n")
 
     def test_bad_minor_spec(self, capsys, quiver_file):
         code, _, err = run(capsys, "spair", "--quiver", quiver_file,

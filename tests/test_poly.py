@@ -10,7 +10,7 @@ from quivergb import groebner, spair
 from quivergb.layout import default_order
 from quivergb.minors import natural_generators
 from quivergb.poly import (
-    QQ, DomainError, GFElement, InputError, OrderSpec, Polynomial,
+    QQ, DomainError, InputError, OrderSpec, Polynomial,
     PreparedBasis, PrimeField, inverse, leading_term, mono_div, mono_divides,
     mono_from, mono_lcm, mono_mul, poly_add,
     poly_from_terms, poly_mul, poly_scale, poly_sub, poly_var, reduce,
@@ -62,13 +62,27 @@ class TestFields:
     def test_gf_inverse(self):
         F = PrimeField(7)
         a = F.of(3)
-        assert a * a ** -1 == F.of(1)
-        assert F.of(10) == F.of(3)
+        assert inverse(a, 7) == 5 and type(inverse(a, 7)) is int
+        assert all(F.of(c * inverse(c, 7)) == F.of(1) for c in range(1, 7))
+        assert F.of(10) == F.of(3) == 3 and F.of(-1) == 6
 
     def test_gf_zero_inverse(self):
         F = PrimeField(5)
-        with pytest.raises(ZeroDivisionError):
-            F.of(0) ** -1
+        for zero in (F.of(0), 5, -10):
+            with pytest.raises(ZeroDivisionError):
+                inverse(zero, 5)
+
+    def test_mixed_characteristics_raise(self):
+        f5, f7 = poly_var(0, PrimeField(5)), poly_var(1, PrimeField(7))
+        # a zero polynomial combines with any field
+        total = poly_sub(Polynomial(), f7) + f7 + f7
+        assert total == f7 and total.char == 7
+        with pytest.raises(DomainError, match="mixed prime fields"):
+            poly_add(f7, f5)
+        with pytest.raises(DomainError, match="mixed prime fields"):
+            PreparedBasis([f7, f5], ORD3)
+        with pytest.raises(DomainError, match="mixed prime fields"):
+            reduce(f7, [f5], ORD3)
 
 
 class TestArithmetic:
@@ -186,7 +200,7 @@ def division_problems(draw):
     monos = st.lists(st.tuples(st.integers(0, NVARS - 1), st.integers(0, 2)),
                      max_size=3).map(mono_from)
     polys = st.lists(st.tuples(st.integers(-4, 4).map(field.of), monos),
-                     max_size=5).map(poly_from_terms)
+                     max_size=5).map(lambda terms: poly_from_terms(terms, field))
     f = draw(polys)
     G = draw(st.lists(polys.filter(lambda g: not g.is_zero()), min_size=1, max_size=4))
     return f, G, OrderSpec(dict(enumerate(ranks)))
@@ -208,6 +222,10 @@ class TestDivisionProperties:
         assert all(a > b for a, b in zip(reduced, reduced[1:]))
         coeffs = list(rem.terms.values()) + [c for (c, _), _ in used]
         assert not any(isinstance(c, float) for c in coeffs)
+        p = G[0].char
+        assert rem.char == p
+        if p:  # GF(p): reduced residues, never 0
+            assert all(type(c) is int and 1 <= c < p for c in coeffs)
 
 
 def poly_of(*terms):
@@ -229,10 +247,10 @@ class TestExactCoefficients:
         assert inverse(3) == Fraction(1, 3) and type(inverse(3)) is Fraction
         assert inverse(-2) == Fraction(-1, 2) and type(inverse(-2)) is Fraction
         assert inverse(Fraction(2, 3)) == Fraction(3, 2)
-        assert inverse(GFElement(3, 7)) == GFElement(5, 7)
-        for zero in (0, Fraction(0), GFElement(7, 7)):
+        assert inverse(3, 7) == 5 and type(inverse(3, 7)) is int
+        for zero, p in ((0, 0), (Fraction(0), 0), (7, 7)):
             with pytest.raises(ZeroDivisionError):
-                inverse(zero)
+                inverse(zero, p)
 
     def test_field_of_is_an_int(self):
         assert type(QQ.of(-1)) is int
@@ -253,7 +271,6 @@ class TestExactCoefficients:
         S = s_polynomial(f, g, ORD3)
         assert S == poly_of((Fraction(-1, 2), {1: 1}), (Fraction(1, 3), {2: 1}))
         assert all_fractions(S.terms.values())
-        assert s_polynomial(f, g, ORD3, leading_term(f, ORD3), leading_term(g, ORD3)) == S
 
     def test_completion_of_non_unit_leading_coefficients(self):
         # monic: xy - 1/2 z and xz - 1/3 y; their S-polynomial
@@ -273,8 +290,8 @@ class TestExactCoefficients:
         seen = []
         init = Polynomial.__init__
 
-        def recording_init(self, terms=None):
-            init(self, terms)
+        def recording_init(self, terms=None, char=0):
+            init(self, terms, char)
             seen.extend(self.terms.values())
 
         def recording_reduce(f, G, ord):
@@ -352,8 +369,10 @@ class TestPackedDivision:
         _, G, ord = problem
         basis = PreparedBasis(G, ord)
         for i, j in combinations(range(len(G)), 2):
-            assert basis.s_pair_remainder(i, j) == \
-                reduce(s_polynomial(G[i], G[j], ord), basis, ord)[0]
+            S = s_polynomial(G[i], G[j], ord)
+            packed = basis._s_polynomial(i, j)
+            assert Polynomial({basis.unpack(mo): c for mo, c in packed.items()}, S.char) == S
+            assert basis.s_pair_remainder(i, j) == reduce(S, basis, ord)[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([QQ, PrimeField(7)]), st.permutations(range(NVARS)),
@@ -364,7 +383,7 @@ class TestPackedDivision:
     def test_codec(self, field, ranks, a, b):
         ord = OrderSpec(dict(enumerate(ranks)))
         ab = mono_mul(a, b)
-        basis = PreparedBasis([Polynomial({mono: field.of(1)}) for mono in (a, b, ab)], ord)
+        basis = PreparedBasis([Polynomial({mono: 1}, field.char) for mono in (a, b, ab)], ord)
         # the narrowest width of 8 * 2**k whose fields hold every exponent
         top = max((e for _, e in ab), default=0)
         assert top < 2 ** (basis.width - 1)
@@ -376,7 +395,7 @@ class TestPackedDivision:
         assert ((pb - pa) & basis.guard == 0) == mono_divides(a, b)
         assert ((pa - pb) & basis.guard == 0) == mono_divides(b, a)
         assert basis._lcm(pa, pb) == basis.pack(mono_lcm(a, b))
-        rem, used = reduce(Polynomial({ab: field.of(2)}), basis, ord)
+        rem, used = reduce(Polynomial({ab: 2}, field.char), basis, ord)
         assert rem.is_zero() and used == [((field.of(2), b), 0)]
 
 
