@@ -83,10 +83,11 @@ def _certify(layout, ord, field, args):
         if i == j:
             raise InputError("a pair needs two different generators")
         wanted = [(i, j)]
+    certifier = spair.Certifier(layout, ord, field)
     failures = 0
     for i, j in wanted:
-        cert = spair.build_chain(layout, refs[i], refs[j], ord, field)
-        ok = spair.verify_chain(layout, cert, ord, field)
+        cert = certifier.build(refs[i], refs[j])
+        ok = certifier.verify(cert)
         print(f"pair {i} {j} chain {len(cert.refs)} verified {'true' if ok else 'false'}")
         if len(wanted) == 1:
             print(spair.render_certificate(layout, cert, ord))
@@ -108,7 +109,7 @@ def _spair(layout, ord, field, args):
         d = spair.p_decomposition(layout, M, N, ord, field)
         print(spair.render_decomposition(layout, d, ord))
         an = spair.analyze(layout, M, N, ord)
-        small = spair.has_small_lts(layout, d, an.L, ord, field)
+        small = spair.has_small_lts(layout, d, an.L, ord)
         ok = spair.expand_decomposition(layout, d, field) == S
         print(f"identity {'true' if ok else 'false'} small-lts {'true' if small else 'false'}")
         return 0 if ok else 1

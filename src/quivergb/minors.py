@@ -13,7 +13,7 @@ from .poly import (
 from .layout import validate_consistent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinorRef:
     vertex: int
     rows: tuple  # strictly increasing, 1-based
@@ -30,7 +30,7 @@ class MinorRef:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseudoMinorRef:
     vertex: int
     rows: tuple  # arbitrary sequences, repeats allowed

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from math import factorial
+from operator import lt
 from types import MappingProxyType
 
 from .poly import (
@@ -190,14 +191,14 @@ def L_of(an, sigma, tau):
 # ---------------------------------------------------------------------------
 # pseudominor decompositions
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompTerm:
     sign: int
     cofactor: tuple      # monomial
     pm: PseudoMinorRef
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     M: MinorRef
     N: MinorRef
@@ -352,10 +353,24 @@ def _term_leading_monomial(layout, t, ord, field):
     return mono_mul(t.cofactor, leading_term(p, ord)[1])
 
 
-def has_small_lts(layout, d, L, ord, field=QQ):
+def _term_leading_diagonal(layout, t, ord):
+    """LM of a term under a consistent order, read off without expanding, or
+    None for a trivial pseudominor: a nontrivial pseudominor is, up to sign,
+    the minor of its sorted rows and columns, whose leading monomial is its
+    diagonal."""
+    pm = t.pm
+    if pm.trivial:
+        return None
+    ref = MinorRef(pm.vertex, tuple(sorted(pm.rows)), tuple(sorted(pm.cols)))
+    return mono_mul(t.cofactor, minor_leading_term(layout, ref, ord))
+
+
+def has_small_lts(layout, d, L, ord):
+    """Whether every term of d leads below L.  Chain building decides with
+    this; verify_chain re-derives each leading monomial from the expansion."""
     key_l = ord.key(L)
     for t in d.row_terms + d.col_terms:
-        m = _term_leading_monomial(layout, t, ord, field)
+        m = _term_leading_diagonal(layout, t, ord)
         if m is not None and not ord.key(m) < key_l:
             return False
     return True
@@ -477,10 +492,8 @@ def _is_maximal_defect(an, kind, j, k, r, s, t):
 
 
 def distance(layout, M, N, ord):
-    lm_m = minor_leading_term(layout, M, ord)
-    lm_n = minor_leading_term(layout, N, ord)
-    vm, vn = mono_vars(lm_m), mono_vars(lm_n)
-    return len(vm) + len(vn) - 2 * len(vm & vn)
+    return len(mono_vars(minor_leading_term(layout, M, ord))
+               ^ mono_vars(minor_leading_term(layout, N, ord)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,21 +636,6 @@ def _mirror(d):
     return Decomposition(d.N, d.M, d.col_terms, d.row_terms)
 
 
-def _small_step(layout, F, G, ord, field):
-    """The decomposition of one chain step: P(F,G) if its leading terms stay
-    below the lcm, else P(G,F) mirrored if its terms do, else None."""
-    lf = minor_leading_term(layout, F, ord)
-    lg = minor_leading_term(layout, G, ord)
-    L = mono_lcm(lf, lg)
-    d = p_decomposition(layout, F, G, ord, field)
-    if has_small_lts(layout, d, L, ord, field):
-        return d
-    d2 = p_decomposition(layout, G, F, ord, field)
-    if has_small_lts(layout, d2, L, ord, field):
-        return _mirror(d2)
-    return None
-
-
 def _pick_defect(layout, F, G, ord):
     """Maximal type-I defect of (F,G) with least support positions (j,k);
     falls back to type II (a type-I defect of the swapped pair)."""
@@ -657,85 +655,120 @@ def _pick_defect(layout, F, G, ord):
     return min(pool, key=sort_key)
 
 
-def _same_matrix_chain(layout, F, G, ord, field):
-    """Refs from F to G, and the accepted decomposition of each adjacent pair."""
-    if F == G:
-        return [F], []
-    d = _small_step(layout, F, G, ord, field)
-    if d is not None:
-        return [F, G], [d]
-    P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
-    left_refs, left_steps = _same_matrix_chain(layout, F, P, ord, field)
-    right_refs, right_steps = _same_matrix_chain(layout, P, G, ord, field)
-    return left_refs[:-1] + right_refs, left_steps + right_steps
-
-
 def _diagonal_minors_dividing(layout, vertex, L, size):
     """All size-minors of the vertex matrix whose leading diagonal uses only
-    points of L (the D^L sets); L has few variables, so enumerate subsets."""
-    coords = []
-    for v in sorted(mono_vars(L)):
+    points of L (the D^L sets), as (rows, cols, variables of the diagonal);
+    L has few variables, so enumerate subsets."""
+    entries = []
+    for v in mono_vars(L):
         pos = layout.pos_in_matrix.get((vertex, v))
         if pos is not None:
-            coords.append(pos)
+            entries.append((*pos, v))
     out = []
-    for sub in combinations(sorted(coords), size):
-        rows = [p for p, _ in sub]
-        cols = [q for _, q in sub]
-        if all(rows[i] < rows[i + 1] and cols[i] < cols[i + 1] for i in range(size - 1)):
-            out.append(MinorRef(vertex, tuple(rows), tuple(sorted(cols))))
+    for sub in combinations(sorted(entries), size):
+        rows, cols, variables = zip(*sub)
+        if all(map(lt, rows, rows[1:])) and all(map(lt, cols, cols[1:])):
+            out.append((rows, cols, frozenset(variables)))
     return out
 
 
-def build_chain(layout, M, N, ord, field=QQ):
-    if M.vertex == N.vertex:
-        return ChainCertificate(*_same_matrix_chain(layout, M, N, ord, field))
-    lm = minor_leading_term(layout, M, ord)
-    ln = minor_leading_term(layout, N, ord)
-    L = mono_lcm(lm, ln)
-    cand_m = _diagonal_minors_dividing(layout, M.vertex, L, M.size)
-    cand_n = _diagonal_minors_dividing(layout, N.vertex, L, N.size)
-    best = min(
-        ((distance(layout, a, b, ord), a.rows, a.cols, b.rows, b.cols, a, b)
-         for a in cand_m for b in cand_n),
-        key=lambda t: t[:5])
-    M2, N2 = best[5], best[6]
-    left_refs, left_steps = _same_matrix_chain(layout, M, M2, ord, field)
-    right_refs, right_steps = _same_matrix_chain(layout, N2, N, ord, field)
-    # _same_matrix_chain accepted every other step; only the bridge crosses vertices
-    bridge = _small_step(layout, M2, N2, ord, field)
-    if bridge is None:
-        raise DomainError("no small-leading-term decomposition for a chain step")
-    return ChainCertificate(left_refs + right_refs, left_steps + [bridge] + right_steps)
+class Certifier:
+    """Builds and verifies chain certificates for one run, over a fixed
+    layout, order and field.
 
+    Chains of different pairs share many steps (F, G).  For the life of the
+    certifier it keeps the accepted decomposition of every step it built,
+    the refs of every same-matrix chain, and the decomposition it verified
+    for every step, so each distinct step is built once and verified once.
+    A step is taken as verified only when the certificate's decomposition
+    equals the verified one by value; any other is verified in full."""
 
-def verify_chain(layout, cert, ord, field=QQ):
-    refs = cert.refs
-    if not refs:
-        return False
-    if len(refs) == 1:
-        return not cert.steps
-    if len(cert.steps) != len(refs) - 1:
-        return False
-    lm0 = minor_leading_term(layout, refs[0], ord)
-    lmk = minor_leading_term(layout, refs[-1], ord)
-    L_end = mono_lcm(lm0, lmk)
-    for ref in refs:
-        lm = minor_leading_term(layout, ref, ord)
-        if not mono_divides(lm, L_end):
+    def __init__(self, layout, ord, field=QQ):
+        self.layout = layout
+        self.ord = ord
+        self.field = field
+        self._steps = {}     # (F, G) -> accepted Decomposition, or None
+        self._chains = {}    # (F, G) -> refs of the same-matrix chain
+        self._verified = {}  # (F, G) -> the Decomposition verified for it
+
+    def _small_step(self, F, G):
+        """The decomposition of one chain step: P(F,G) if its leading terms
+        stay below the lcm, else P(G,F) mirrored if its terms do, else None."""
+        key = (F, G)
+        if key in self._steps:
+            return self._steps[key]
+        layout, ord, field = self.layout, self.ord, self.field
+        L = mono_lcm(minor_leading_term(layout, F, ord), minor_leading_term(layout, G, ord))
+        d = p_decomposition(layout, F, G, ord, field)
+        if not has_small_lts(layout, d, L, ord):
+            d2 = p_decomposition(layout, G, F, ord, field)
+            d = _mirror(d2) if has_small_lts(layout, d2, L, ord) else None
+        self._steps[key] = d
+        return d
+
+    def _same_matrix_chain(self, F, G):
+        """Refs from F to G; every adjacent pair has an accepted step."""
+        refs = self._chains.get((F, G))
+        if refs is None:
+            if F == G:
+                refs = (F,)
+            elif self._small_step(F, G) is not None:
+                refs = (F, G)
+            else:
+                layout, ord = self.layout, self.ord
+                P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
+                refs = self._same_matrix_chain(F, P)[:-1] + self._same_matrix_chain(P, G)
+            self._chains[(F, G)] = refs
+        return refs
+
+    def build(self, M, N):
+        """The chain certificate of the pair (M, N)."""
+        if M.vertex == N.vertex:
+            refs = self._same_matrix_chain(M, N)
+        else:
+            layout, ord = self.layout, self.ord
+            L = mono_lcm(minor_leading_term(layout, M, ord), minor_leading_term(layout, N, ord))
+            cand_m = _diagonal_minors_dividing(layout, M.vertex, L, M.size)
+            cand_n = _diagonal_minors_dividing(layout, N.vertex, L, N.size)
+            # the bridge M2 -> N2 of least distance |diag(M2) ^ diag(N2)|
+            _, rows_m, cols_m, rows_n, cols_n = min(
+                (len(vm ^ vn), rm, cm, rn, cn)
+                for rm, cm, vm in cand_m for rn, cn, vn in cand_n)
+            M2 = MinorRef(M.vertex, rows_m, cols_m)
+            N2 = MinorRef(N.vertex, rows_n, cols_n)
+            refs = self._same_matrix_chain(M, M2) + self._same_matrix_chain(N2, N)
+            # the same-matrix chains accepted every other step; only the bridge crosses vertices
+            if self._small_step(M2, N2) is None:
+                raise DomainError("no small-leading-term decomposition for a chain step")
+        return ChainCertificate(list(refs), [self._steps[s] for s in zip(refs, refs[1:])])
+
+    def verify(self, cert):
+        """Whether cert proves that the S-polynomial of its end refs reduces
+        to zero: its end-point checks pass and every step is verified."""
+        refs = cert.refs
+        if not refs:
             return False
-    for i, d in enumerate(cert.steps):
-        F, G = refs[i], refs[i + 1]
+        if len(refs) == 1:
+            return not cert.steps
+        if len(cert.steps) != len(refs) - 1:
+            return False
+        lms = [minor_leading_term(self.layout, ref, self.ord) for ref in refs]
+        L_end = mono_lcm(lms[0], lms[-1])
+        if not all(mono_divides(lm, L_end) for lm in lms):
+            return False
+        return all(self._verify_step(F, G, d) for F, G, d in zip(refs, refs[1:], cert.steps))
+
+    def _verify_step(self, F, G, d):
         if d.M != F or d.N != G:
             return False
-        pf = expand_minor(layout, F, field)
-        pg = expand_minor(layout, G, field)
-        target = s_polynomial(pf, pg, ord)
+        if self._verified.get((F, G)) == d:
+            return True
+        layout, ord, field = self.layout, self.ord, self.field
+        target = s_polynomial(expand_minor(layout, F, field), expand_minor(layout, G, field), ord)
         if expand_decomposition(layout, d, field) != target:
             return False
-        lf = minor_leading_term(layout, F, ord)
-        lg = minor_leading_term(layout, G, ord)
-        key_l = ord.key(mono_lcm(lf, lg))
+        key_l = ord.key(mono_lcm(minor_leading_term(layout, F, ord),
+                                 minor_leading_term(layout, G, ord)))
         for t in d.row_terms + d.col_terms:
             # every surviving pseudominor must be a natural generator in disguise
             if len(t.pm.rows) != layout.minor_size(t.pm.vertex):
@@ -743,7 +776,16 @@ def verify_chain(layout, cert, ord, field=QQ):
             m = _term_leading_monomial(layout, t, ord, field)
             if m is not None and not ord.key(m) < key_l:
                 return False
-    return True
+        self._verified[(F, G)] = d
+        return True
+
+
+def build_chain(layout, M, N, ord, field=QQ):
+    return Certifier(layout, ord, field).build(M, N)
+
+
+def verify_chain(layout, cert, ord, field=QQ):
+    return Certifier(layout, ord, field).verify(cert)
 
 
 def check_noviolation_equivalence(layout, M, N, ord):

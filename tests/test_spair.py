@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -16,7 +18,7 @@ from quivergb import spair
 from quivergb.layout import default_order
 from quivergb.tensors import double_det_generators
 
-from conftest import make_instance
+from conftest import FOUR_VERTEX, make_instance
 
 
 # the worked 3x3 example: M = rows(2,3) cols(1,3), N = rows(1,3) cols(2,3)
@@ -335,13 +337,7 @@ class TestChains:
     def test_forged_certificate_rejected(self, single_3x3):
         layout, ord = single_3x3
         cert = spair.build_chain(layout, M3, N3, ord)
-        d = cert.steps[0]
-        big = mono_from([(layout.var_of[(1, 1, 1)], 2)])
-        forged = spair.Decomposition(
-            d.M, d.N,
-            tuple(spair.DecompTerm(t.sign, big, t.pm) for t in d.row_terms),
-            d.col_terms)
-        bad = spair.ChainCertificate(cert.refs, [forged])
+        bad = spair.ChainCertificate(cert.refs, [forge(layout, cert.steps[0])])
         assert not spair.verify_chain(layout, bad, ord)
 
     def test_foreign_intermediate_rejected(self, single_3x3):
@@ -368,6 +364,93 @@ class TestChains:
             " ; cols: [- x[4,1,1] pm 2:1,2,5;2,3,5] [+ x[5,1,1] pm 2:1,2,4;2,3,5]\n"
             "step 1: rows: [- x[5,3,1] pm 2:2,3,4;1,4,5] [- x[2,3,1] pm 2:4,3,5;1,4,5]"
             " ; cols: [- x[3,5,1] pm 2:2,4,5;1,3,4] [- x[3,1,1] pm 2:2,4,5;4,3,5]")
+
+
+def forge(layout, d):
+    """d with every row cofactor replaced by x[1,1,1]^2."""
+    big = mono_from([(layout.var_of[(1, 1, 1)], 2)])
+    return spair.Decomposition(
+        d.M, d.N, tuple(spair.DecompTerm(t.sign, big, t.pm) for t in d.row_terms),
+        d.col_terms)
+
+
+def steps_of(cert):
+    """(F, G) of each step of cert."""
+    return list(zip(cert.refs, cert.refs[1:]))
+
+
+def pencil_instance(*shape):
+    layout, _ = double_det_generators(*shape)
+    return layout, default_order(layout)
+
+
+class TestRunCertifier:
+    """One Certifier for every pair of a run builds and verifies each
+    distinct step once; its memos must never change a verdict or a chain."""
+
+    def test_forgery_after_the_genuine_certificate_rejected(self, single_3x3):
+        layout, ord = single_3x3
+        run = spair.Certifier(layout, ord)
+        cert = run.build(M3, N3)
+        assert run.verify(cert)
+        forged = spair.ChainCertificate(cert.refs, [forge(layout, cert.steps[0])])
+        assert not run.verify(forged)
+        assert run.verify(cert)
+
+    def test_mutated_shared_step_fails_exactly_the_chains_using_it(self):
+        layout, ord = pencil_instance(2, 2, 2, 2, 2)
+        refs = [r for r, _ in natural_generators(layout)]
+        run = spair.Certifier(layout, ord)
+        certs = [run.build(A, B) for A, B in combinations(refs, 2)]
+        assert all(run.verify(cert) for cert in certs)
+        uses = Counter(s for cert in certs for s in steps_of(cert))
+        decomposition = {s: d for cert in certs for s, d in zip(steps_of(cert), cert.steps)}
+        shared = max((s for s, d in decomposition.items() if d.row_terms),
+                     key=uses.__getitem__)
+        d = decomposition[shared]
+        first = d.row_terms[0]
+        flipped = dataclasses.replace(
+            d, row_terms=(dataclasses.replace(first, sign=-first.sign),) + d.row_terms[1:])
+        mutated = [spair.ChainCertificate(cert.refs, [flipped if s == shared else step
+                                                      for s, step in zip(steps_of(cert), cert.steps)])
+                   for cert in certs]
+        using = [i for i, cert in enumerate(certs) if shared in steps_of(cert)]
+        assert len(using) == uses[shared] > 1
+        # with the genuine step already verified, and in a fresh run
+        for certifier in (run, spair.Certifier(layout, ord)):
+            assert [i for i, cert in enumerate(mutated) if not certifier.verify(cert)] == using
+        assert all(run.verify(cert) for cert in certs)
+
+    @pytest.mark.parametrize("instance, field", [
+        (lambda: pencil_instance(2, 2, 2, 2, 2), PrimeField(7)),
+        (lambda: make_instance(FOUR_VERTEX), QQ),
+    ], ids=["pencil-2x2-GF7", "four-vertex"])
+    def test_run_certificates_match_one_shot(self, instance, field):
+        layout, ord = instance()
+        refs = [r for r, _ in natural_generators(layout, field)]
+        run = spair.Certifier(layout, ord, field)
+        for A, B in combinations(refs, 2):
+            cert = run.build(A, B)
+            assert run.verify(cert)
+            one = spair.build_chain(layout, A, B, ord, field)
+            assert (spair.render_certificate(layout, cert, ord)
+                    == spair.render_certificate(layout, one, ord))
+
+    def test_build_leading_monomials_match_the_expansion(self):
+        # build reads each term's leading monomial off the sorted diagonal;
+        # verify expands it; on every term either side of every step they agree
+        layout, ord = pencil_instance(3, 3, 2, 2, 2)
+        refs = [r for r, _ in natural_generators(layout)]
+        run = spair.Certifier(layout, ord)
+        steps = {s for A, B in combinations(refs, 2) for s in steps_of(run.build(A, B))}
+        terms = [t for F, G in steps
+                 for d in (spair.p_decomposition(layout, F, G, ord),
+                           spair.p_decomposition(layout, G, F, ord))
+                 for t in d.row_terms + d.col_terms]
+        assert (len(steps), len(terms)) == (2000, 7186)
+        for t in terms:
+            assert (spair._term_leading_diagonal(layout, t, ord)
+                    == spair._term_leading_monomial(layout, t, ord, QQ))
 
 
 MEMO_LAYOUT, _ = make_instance("vertices 2\narrow 1 2\narrow 1 2\nm 3 3\nrank 1 1\n")
@@ -413,13 +496,19 @@ class TestMemos:
         layout, _ = double_det_generators(*shape)
         ord = default_order(layout)
         refs = [r for r, _ in natural_generators(layout, field)]
-        h = hashlib.sha256()
         wanted = list(combinations(refs, 2))
-        for A, B in wanted:
-            cert = spair.build_chain(layout, A, B, ord, field)
-            assert spair.verify_chain(layout, cert, ord, field)
-            h.update(spair.render_certificate(layout, cert, ord).encode() + b"\n")
-        assert len(wanted) == pairs and h.hexdigest() == digest
+        assert len(wanted) == pairs
+        # one pair at a time, and every pair through one run-level certifier
+        run = spair.Certifier(layout, ord, field)
+        for build, verify in ((lambda A, B: spair.build_chain(layout, A, B, ord, field),
+                               lambda cert: spair.verify_chain(layout, cert, ord, field)),
+                              (run.build, run.verify)):
+            h = hashlib.sha256()
+            for A, B in wanted:
+                cert = build(A, B)
+                assert verify(cert)
+                h.update(spair.render_certificate(layout, cert, ord).encode() + b"\n")
+            assert h.hexdigest() == digest
         # no caller changed an expansion that the memo shares
         for (vertex, rows, cols, char), det in layout.dets.items():
             ref = PseudoMinorRef(vertex, rows, cols)
