@@ -54,7 +54,10 @@ def _gens(layout, ord, field, out):
         lines.append(f"{render_minor_spec(ref)} {render(poly, ord, layout.var_name)}")
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -108,8 +111,7 @@ def _spair(layout, ord, field, args):
     if args.decompose:
         d = spair.p_decomposition(layout, M, N, ord, field)
         print(spair.render_decomposition(layout, d, ord))
-        an = spair.analyze(layout, M, N, ord)
-        small = spair.has_small_lts(layout, d, an.L, ord)
+        small = spair.Certifier(layout, ord, field).has_small_lts(d)
         ok = spair.expand_decomposition(layout, d, field) == S
         print(f"identity {'true' if ok else 'false'} small-lts {'true' if small else 'false'}")
         return 0 if ok else 1

@@ -335,19 +335,12 @@ def s_polynomial(f, g, ord):
     return poly_sub(left, right)
 
 
-class _Overflow(Exception):
-    """An exponent outgrew its packed field: the basis widens and the division restarts."""
+class Overflow(Exception):
+    """An exponent outgrew its packed field: the codec widens and the work restarts."""
 
 
-class PreparedBasis:
-    """The generators of a division, with what every division by them needs
-    worked out once, and the division engine that uses it.
-
-    Kept per generator: the polynomial, its leading term, the variable set
-    of its leading monomial (for coprimality tests), the inverse of its
-    leading coefficient, and its terms with packed monomials.  Every
-    generator has the basis's characteristic ``char``, which its first
-    generator sets.
+class MonomialCodec:
+    """Monomials of one order packed into ints.
 
     A packed monomial (Monagan and Pearce, "Sparse polynomial division
     using a heap", J. Symb. Comput. 46, 2011) is an int with one
@@ -355,97 +348,54 @@ class PreparedBasis:
     No exponent sets the top bit of its field, so with ``guard`` the mask of
     those bits: packed ints compare in the order's lex order, multiplying
     monomials is ``+``, dividing is ``-``, and ``a | b`` exactly when
-    ``(b - a) & guard == 0``.  The width starts at 8.  An exponent that does
-    not fit, whether packed from outside or made by a product, doubles it:
-    every generator is packed again and the division starts again.  Division
-    is deterministic, so the restart gives what wider fields would have
-    given at once.
+    ``(b - a) & guard == 0``.  Neither term of a sum of two packed
+    monomials sets a guard bit, so the sum never carries out of a field: it
+    sets a guard bit exactly when an exponent outgrew its field.
 
-    Each generator is filed under the top field of its leading monomial,
-    ``bit_length() // width``.  Natural generators have squarefree diagonal
-    leading monomials, so a term has few candidate divisors: those filed
-    under one of its fields.
+    The width starts at 8.  Whoever finds an exponent that does not fit,
+    whether packing it or making it by a product, raises Overflow inside
+    run(), which doubles the width and starts the work again from scratch.
+    Everything packed at the old width is stale then: a user of the codec
+    records the width it packed at and packs again when it differs.
     """
 
-    __slots__ = ("polys", "ord", "char", "lts", "lvars", "width", "guard", "_invs", "_vars",
-                 "_terms", "_lms", "_anchored", "_const", "_below")
+    __slots__ = ("ord", "width", "guard", "_vars", "_shift")
 
-    def __init__(self, G, ord):
-        self.polys = []
+    def __init__(self, ord):
         self.ord = ord
-        self.char = 0
-        self.lts = []  # (coeff, monomial) of each generator's leading term
-        self.lvars = []  # frozenset of the variables of each leading monomial
-        self._invs = []  # inverse of each generator's leading coefficient
         n = ord.nvars
         self._vars = [None] * n  # the variable of each field, lowest field first
         for v, r in ord.rank.items():
             self._vars[n - 1 - r] = v
         self._set_width(8)
-        for g in G:
-            self.append(g)
 
     def _set_width(self, width):
-        """Use fields of ``width`` bits, with no generator packed yet."""
-        n = self.ord.nvars
+        top = self.ord.nvars - 1
         self.width = width
-        self.guard = sum(1 << (width * f + width - 1) for f in range(n))
-        self._below = [(1 << (width * f)) - 1 for f in range(n)]  # fields under f
-        self._terms = []  # [(packed monomial, coeff)] of each generator
-        self._lms = []  # packed leading monomial of each generator
-        self._anchored = [[] for _ in range(n)]  # field -> [(index, packed lm)], ascending
-        self._const = None  # lowest index with a constant leading monomial
+        self.guard = sum(1 << (width * f + width - 1) for f in range(top + 1))
+        self._shift = {v: width * (top - r) for v, r in self.ord.rank.items()}  # low bit of v's field
 
-    def append(self, g):
-        """Add g at the next index.  No earlier index changes, so divisor()
-        still returns the lowest eligible index."""
-        if g.is_zero():
-            raise DomainError("zero generator in division")
-        if self.polys and g.char != self.char:
-            raise DomainError("mixed prime fields")
-        self.char = g.char
-        lt = leading_term(g, self.ord)
-        self.polys.append(g)
-        self.lts.append(lt)
-        self.lvars.append(mono_vars(lt[1]))
-        self._invs.append(inverse(lt[0], g.char))
-        try:
-            self._file(g, lt[1])
-        except _Overflow:
-            self._widen()
-
-    def _file(self, g, lm):
-        """Pack g at the current width and file it under its anchor field."""
-        terms = [(self.pack(m), c) for m, c in g.terms.items()]
-        lm = self.pack(lm)
-        idx = len(self._terms)
-        self._terms.append(terms)
-        self._lms.append(lm)
-        if lm:
-            self._anchored[lm.bit_length() // self.width].append((idx, lm))
-        elif self._const is None:
-            self._const = idx  # a constant divides every monomial
-
-    def _widen(self):
-        """Double the width until every generator fits, and pack them all again."""
+    def run(self, step, *args):
+        """step(*args), doubling the width and running it again from scratch
+        while it raises Overflow.  Work is deterministic, so the result is
+        what wider fields would have given at once."""
         while True:
-            self._set_width(2 * self.width)
             try:
-                for g, (_, lm) in zip(self.polys, self.lts):
-                    self._file(g, lm)
-                return
-            except _Overflow:
-                continue
+                return step(*args)
+            except Overflow:
+                self._set_width(2 * self.width)
 
     def pack(self, mono):
-        """The packed int of a monomial at the current width; _Overflow when
+        """The packed int of a monomial at the current width; Overflow when
         an exponent does not fit."""
-        width, rank_of, top = self.width, self.ord.rank_of, self.ord.nvars - 1
+        width, shift = self.width, self._shift
         packed = 0
         for v, e in mono:
             if e >> (width - 1):
-                raise _Overflow
-            packed += e << (width * (top - rank_of(v)))
+                raise Overflow
+            if v not in shift:
+                self.ord.rank_of(v)  # raises InputError naming v
+            packed += e << shift[v]
         return packed
 
     def unpack(self, packed):
@@ -460,10 +410,117 @@ class PreparedBasis:
             packed >>= width
         return tuple(sorted(out))
 
+    def lcm(self, a, b):
+        """Fieldwise max of two packed monomials."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+        take_a = ge - (ge >> (self.width - 1))  # those fields below their guard bit
+        return b ^ ((a ^ b) & take_a)
+
+
+def packed_s_polynomial(f_terms, f_lm, f_inv, g_terms, g_lm, g_inv, big, p):
+    """S(f, g) as {packed monomial: coeff}, with s_polynomial's arithmetic.
+
+    Each of f and g comes as its (packed monomial, coeff) terms, its packed
+    leading monomial and the inverse of its leading coefficient; big is the
+    lcm of the two leading monomials and p the characteristic.  Overflow is
+    the caller's to rule out."""
+    cof = big - f_lm
+    if p:
+        work = {cof + m: f_inv * c % p for m, c in f_terms}
+    else:
+        work = {cof + m: f_inv * c for m, c in f_terms}
+    cof, inv = big - g_lm, -g_inv
+    for m, c in g_terms:
+        m += cof
+        d = inv * c
+        if m in work:
+            s = work[m] + d
+            if p:
+                s %= p
+            if s:
+                work[m] = s
+            else:
+                del work[m]
+        else:
+            work[m] = d % p if p else d
+    return work
+
+
+class PreparedBasis:
+    """The generators of a division, with what every division by them needs
+    worked out once, and the division engine that uses it.
+
+    Kept per generator: the polynomial, its leading term, the variable set
+    of its leading monomial (for coprimality tests), the inverse of its
+    leading coefficient, and its terms with monomials packed by the basis's
+    MonomialCodec.  Every generator has the basis's characteristic ``char``,
+    which its first generator sets.  When the codec widens, every generator
+    is packed again and the division starts again.
+
+    Each generator is filed under the top field of its leading monomial,
+    ``bit_length() // width``.  Natural generators have squarefree diagonal
+    leading monomials, so a term has few candidate divisors: those filed
+    under one of its fields.
+    """
+
+    __slots__ = ("polys", "ord", "char", "lts", "lvars", "codec", "_invs", "_width", "_guard",
+                 "_terms", "_lms", "_anchored", "_const", "_below")
+
+    def __init__(self, G, ord):
+        self.polys = []
+        self.ord = ord
+        self.char = 0
+        self.lts = []  # (coeff, monomial) of each generator's leading term
+        self.lvars = []  # frozenset of the variables of each leading monomial
+        self._invs = []  # inverse of each generator's leading coefficient
+        self.codec = MonomialCodec(ord)
+        self._width = self._guard = None  # the codec's width and guard at packing
+        self._pack()
+        for g in G:
+            self.append(g)
+
+    def append(self, g):
+        """Add g at the next index.  No earlier index changes, so divisor()
+        still returns the lowest eligible index."""
+        if g.is_zero():
+            raise DomainError("zero generator in division")
+        if self.polys and g.char != self.char:
+            raise DomainError("mixed prime fields")
+        self.char = g.char
+        lt = leading_term(g, self.ord)
+        self.polys.append(g)
+        self.lts.append(lt)
+        self.lvars.append(mono_vars(lt[1]))
+        self._invs.append(inverse(lt[0], g.char))
+        self.codec.run(self._pack)
+
+    def _pack(self):
+        """Pack and file every generator not yet packed at the codec's
+        width: all of them after a widening, else only new ones."""
+        width, pack = self.codec.width, self.codec.pack
+        if self._width != width:
+            n = self.ord.nvars
+            self._width, self._guard = width, self.codec.guard
+            self._below = [(1 << (width * f)) - 1 for f in range(n)]  # fields under f
+            self._terms = []  # [(packed monomial, coeff)] of each generator
+            self._lms = []  # packed leading monomial of each generator
+            self._anchored = [[] for _ in range(n)]  # field -> [(index, packed lm)], ascending
+            self._const = None  # lowest index with a constant leading monomial
+        for idx in range(len(self._terms), len(self.polys)):
+            terms = [(pack(m), c) for m, c in self.polys[idx].terms.items()]
+            lm = pack(self.lts[idx][1])
+            self._terms.append(terms)
+            self._lms.append(lm)
+            if lm:
+                self._anchored[lm.bit_length() // width].append((idx, lm))
+            elif self._const is None:
+                self._const = idx  # a constant divides every monomial
+
     def divisor(self, m):
         """Lowest index whose leading monomial divides the packed monomial m, or None."""
         best = self._const
-        guard, width, anchored, below = self.guard, self.width, self._anchored, self._below
+        guard, width, anchored, below = self._guard, self._width, self._anchored, self._below
         rest = m
         while rest:  # m's fields, from the top
             f = rest.bit_length() // width
@@ -476,38 +533,12 @@ class PreparedBasis:
             rest &= below[f]
         return best
 
-    def _lcm(self, a, b):
-        """Fieldwise max of two packed monomials."""
-        guard = self.guard
-        ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
-        take_a = ge - (ge >> (self.width - 1))  # those fields below their guard bit
-        return b ^ ((a ^ b) & take_a)
-
     def _s_polynomial(self, i, j):
-        """S(G[i], G[j]) as {packed monomial: coeff}, with s_polynomial's arithmetic."""
-        p = self.char
+        """S(G[i], G[j]) as {packed monomial: coeff}."""
         lm_i, lm_j = self._lms[i], self._lms[j]
-        big = self._lcm(lm_i, lm_j)
-        cof, inv = big - lm_i, self._invs[i]
-        if p:
-            work = {cof + m: inv * c % p for m, c in self._terms[i]}
-        else:
-            work = {cof + m: inv * c for m, c in self._terms[i]}
-        cof, inv = big - lm_j, -self._invs[j]
-        for m, c in self._terms[j]:
-            m += cof
-            d = inv * c
-            if m in work:
-                s = work[m] + d
-                if p:
-                    s %= p
-                if s:
-                    work[m] = s
-                else:
-                    del work[m]
-            else:
-                work[m] = d % p if p else d
-        return work
+        return packed_s_polynomial(self._terms[i], lm_i, self._invs[i],
+                                   self._terms[j], lm_j, self._invs[j],
+                                   self.codec.lcm(lm_i, lm_j), self.char)
 
     def _divide(self, work):
         """Divide {packed monomial: coeff} by the basis, in place.
@@ -515,9 +546,9 @@ class PreparedBasis:
         Returns (work, used): work is now the remainder, and used lists the
         cofactors as (coeff, packed monomial, index).  The largest reducible
         term is cancelled first, by the lowest-index eligible generator."""
-        guard, p = self.guard, self.char
+        guard, p = self._guard, self.char
         if any(m & guard for m in work):
-            raise _Overflow
+            raise Overflow
         terms, lms, invs, divisor = self._terms, self._lms, self._invs, self.divisor
         # Max-heap of monomials as negated packed ints.  A step cancels its
         # target and adds only smaller monomials, so each monomial is pushed
@@ -553,36 +584,36 @@ class PreparedBasis:
                         del work[mm]
                 elif delta:
                     if mm & guard:  # an exponent outgrew its field
-                        raise _Overflow
+                        raise Overflow
                     work[mm] = delta % p if p else delta
                     if mm not in queued:
                         queued.add(mm)
                         heappush(heap, -mm)
         return work, used
 
-    def _run(self, make_work):
-        """_divide(make_work()), widening and starting again on overflow."""
-        while True:
-            try:
-                return self._divide(make_work())
-            except _Overflow:
-                self._widen()
+    def _step(self, make_work, *args):
+        """_divide(make_work(*args)) at the codec's current width, for
+        codec.run: the basis is packed again first if the codec widened."""
+        if self._width != self.codec.width:
+            self._pack()
+        return self._divide(make_work(*args))
 
     def divide(self, f):
         """(remainder, used) of the polynomial f divided by the basis; see reduce()."""
         char = self.char if self.polys else f.char
         if f.terms and f.char != char:
             raise DomainError("mixed prime fields")
-        work, used = self._run(lambda: {self.pack(m): c for m, c in f.terms.items()})
-        unpack = self.unpack
+        pack = self.codec.pack
+        work, used = self.codec.run(self._step, lambda: {pack(m): c for m, c in f.terms.items()})
+        unpack = self.codec.unpack
         return (Polynomial({unpack(m): c for m, c in work.items()}, char),
                 [((c, unpack(m)), idx) for c, m, idx in used])
 
     def s_pair_remainder(self, i, j):
         """The remainder of S(G[i], G[j]) divided by the basis, formed and
         divided packed; only the remainder's terms are unpacked."""
-        work, _ = self._run(lambda: self._s_polynomial(i, j))
-        unpack = self.unpack
+        work, _ = self.codec.run(self._step, self._s_polynomial, i, j)
+        unpack = self.codec.unpack
         return Polynomial({unpack(m): c for m, c in work.items()}, self.char)
 
 

@@ -27,9 +27,10 @@ from operator import lt
 from types import MappingProxyType
 
 from .poly import (
-    QQ, DomainError, InputError, Polynomial, inverse, mono_divides, mono_from,
-    mono_lcm, mono_mul, mono_vars, poly_add, poly_scale, poly_sub,
-    render_monomial, require, s_polynomial, sorted_terms, leading_term,
+    QQ, DomainError, InputError, MonomialCodec, Overflow, Polynomial, inverse,
+    mono_divides, mono_from, mono_lcm, mono_mul, mono_vars, packed_s_polynomial,
+    poly_add, poly_scale, poly_sub, render_monomial, require, sorted_terms,
+    leading_term,
 )
 from .minors import (
     MinorRef, PseudoMinorRef, expand_minor, expand_pseudominor,
@@ -353,29 +354,6 @@ def _term_leading_monomial(layout, t, ord, field):
     return mono_mul(t.cofactor, leading_term(p, ord)[1])
 
 
-def _term_leading_diagonal(layout, t, ord):
-    """LM of a term under a consistent order, read off without expanding, or
-    None for a trivial pseudominor: a nontrivial pseudominor is, up to sign,
-    the minor of its sorted rows and columns, whose leading monomial is its
-    diagonal."""
-    pm = t.pm
-    if pm.trivial:
-        return None
-    ref = MinorRef(pm.vertex, tuple(sorted(pm.rows)), tuple(sorted(pm.cols)))
-    return mono_mul(t.cofactor, minor_leading_term(layout, ref, ord))
-
-
-def has_small_lts(layout, d, L, ord):
-    """Whether every term of d leads below L.  Chain building decides with
-    this; verify_chain re-derives each leading monomial from the expansion."""
-    key_l = ord.key(L)
-    for t in d.row_terms + d.col_terms:
-        m = _term_leading_diagonal(layout, t, ord)
-        if m is not None and not ord.key(m) < key_l:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # violations and defects
 
@@ -681,15 +659,92 @@ class Certifier:
     the refs of every same-matrix chain, and the decomposition it verified
     for every step, so each distinct step is built once and verified once.
     A step is taken as verified only when the certificate's decomposition
-    equals the verified one by value; any other is verified in full."""
+    equals the verified one by value; any other is verified in full.
+
+    Build and verify both work on monomials packed by the run's own
+    MonomialCodec.  The packed memos (determinant expansions and diagonal
+    leading monomials) hold the width they were packed at; when the codec
+    widens they are emptied and the interrupted work starts again."""
 
     def __init__(self, layout, ord, field=QQ):
         self.layout = layout
         self.ord = ord
         self.field = field
-        self._steps = {}     # (F, G) -> accepted Decomposition, or None
-        self._chains = {}    # (F, G) -> refs of the same-matrix chain
-        self._verified = {}  # (F, G) -> the Decomposition verified for it
+        self.codec = MonomialCodec(ord)
+        self._steps = {}      # (F, G) -> accepted Decomposition, or None
+        self._chains = {}     # (F, G) -> refs of the same-matrix chain
+        self._verified = {}   # (F, G) -> the Decomposition verified for it
+        self._width = None    # the codec width of the two packed memos
+        self._dets = {}       # (vertex, rows, cols) -> packed determinant, or None for 0
+        self._diagonals = {}  # (vertex, rows, cols) -> packed diagonal, rows and cols sorted
+
+    def _sync(self):
+        """Empty the packed memos if the codec has widened since they were filled."""
+        if self._width != self.codec.width:
+            self._width = self.codec.width
+            self._dets.clear()
+            self._diagonals.clear()
+
+    def _det(self, ref, expand):
+        """expand(layout, ref, field) packed, as (terms, lm, inv, span): its
+        (packed monomial, coeff) terms, the largest of those monomials, the
+        inverse of that one's coeff, and the fieldwise max of all of them;
+        None when the expansion is 0."""
+        key = (ref.vertex, ref.rows, ref.cols)
+        if key in self._dets:
+            return self._dets[key]
+        poly = expand(self.layout, ref, self.field)
+        det = None
+        if poly.terms:
+            pack, lcm = self.codec.pack, self.codec.lcm
+            terms = [(pack(m), c) for m, c in poly.terms.items()]
+            lm, lc = max(terms)
+            span = 0
+            for m, _ in terms:
+                span = lcm(span, m)
+            det = (terms, lm, inverse(lc, poly.char), span)
+        self._dets[key] = det
+        return det
+
+    def _diagonal(self, vertex, rows, cols):
+        """The packed diagonal of the minor of the sorted rows and columns,
+        its leading monomial under a consistent order."""
+        key = (vertex, rows, cols)
+        diag = self._diagonals.get(key)
+        if diag is None:
+            ref = MinorRef(vertex, tuple(sorted(rows)), tuple(sorted(cols)))
+            diag = self._diagonals[key] = self.codec.pack(
+                minor_leading_term(self.layout, ref, self.ord))
+        return diag
+
+    def _lead_diagonal(self, t):
+        """The packed leading monomial of a term read off without expanding,
+        or None for a trivial pseudominor: a nontrivial pseudominor is, up to
+        sign, the minor of its sorted rows and columns."""
+        pm = t.pm
+        if pm.trivial:
+            return None
+        m = self.codec.pack(t.cofactor) + self._diagonal(pm.vertex, pm.rows, pm.cols)
+        if m & self.codec.guard:
+            raise Overflow
+        return m
+
+    def has_small_lts(self, d):
+        """Whether every term of d leads below the lcm L of the leading
+        monomials of d.M and d.N, by _lead_diagonal.  Chain building decides
+        with this; verification re-derives each leading monomial from the
+        expansion."""
+        def below():
+            self._sync()
+            M, N = d.M, d.N
+            top = self.codec.lcm(self._diagonal(M.vertex, M.rows, M.cols),
+                                 self._diagonal(N.vertex, N.rows, N.cols))
+            for t in d.row_terms + d.col_terms:
+                m = self._lead_diagonal(t)
+                if m is not None and m >= top:
+                    return False
+            return True
+        return self.codec.run(below)
 
     def _small_step(self, F, G):
         """The decomposition of one chain step: P(F,G) if its leading terms
@@ -698,11 +753,10 @@ class Certifier:
         if key in self._steps:
             return self._steps[key]
         layout, ord, field = self.layout, self.ord, self.field
-        L = mono_lcm(minor_leading_term(layout, F, ord), minor_leading_term(layout, G, ord))
         d = p_decomposition(layout, F, G, ord, field)
-        if not has_small_lts(layout, d, L, ord):
+        if not self.has_small_lts(d):
             d2 = p_decomposition(layout, G, F, ord, field)
-            d = _mirror(d2) if has_small_lts(layout, d2, L, ord) else None
+            d = _mirror(d2) if self.has_small_lts(d2) else None
         self._steps[key] = d
         return d
 
@@ -752,32 +806,70 @@ class Certifier:
             return not cert.steps
         if len(cert.steps) != len(refs) - 1:
             return False
-        lms = [minor_leading_term(self.layout, ref, self.ord) for ref in refs]
-        L_end = mono_lcm(lms[0], lms[-1])
-        if not all(mono_divides(lm, L_end) for lm in lms):
+        if not self.codec.run(self._ends_hold, refs):
             return False
         return all(self._verify_step(F, G, d) for F, G, d in zip(refs, refs[1:], cert.steps))
+
+    def _ends_hold(self, refs):
+        """Whether the leading monomial of every ref divides the lcm of those
+        of the two end refs."""
+        self._sync()
+        guard = self.codec.guard
+        lms = [self._diagonal(ref.vertex, ref.rows, ref.cols) for ref in refs]
+        top = self.codec.lcm(lms[0], lms[-1])
+        return not any((top - lm) & guard for lm in lms)
 
     def _verify_step(self, F, G, d):
         if d.M != F or d.N != G:
             return False
         if self._verified.get((F, G)) == d:
             return True
-        layout, ord, field = self.layout, self.ord, self.field
-        target = s_polynomial(expand_minor(layout, F, field), expand_minor(layout, G, field), ord)
-        if expand_decomposition(layout, d, field) != target:
+        if not self.codec.run(self._step_holds, F, G, d):
             return False
-        key_l = ord.key(mono_lcm(minor_leading_term(layout, F, ord),
-                                 minor_leading_term(layout, G, ord)))
-        for t in d.row_terms + d.col_terms:
-            # every surviving pseudominor must be a natural generator in disguise
-            if len(t.pm.rows) != layout.minor_size(t.pm.vertex):
-                return False
-            m = _term_leading_monomial(layout, t, ord, field)
-            if m is not None and not ord.key(m) < key_l:
-                return False
         self._verified[(F, G)] = d
         return True
+
+    def _step_holds(self, F, G, d):
+        """Whether d expands to S(F, G) and each of its terms leads below
+        the lcm L of the leading monomials of F and G, every leading monomial
+        being the largest monomial of a packed expansion, so the test of a
+        term is ``cof + lm(pm) < L`` on ints.  A sum that outgrows a field
+        raises Overflow before anything is compared."""
+        self._sync()
+        guard, pack, p = self.codec.guard, self.codec.pack, self.field.char
+        f_terms, f_lm, f_inv, _ = self._det(F, expand_minor)
+        g_terms, g_lm, g_inv, _ = self._det(G, expand_minor)
+        L = self.codec.lcm(f_lm, g_lm)
+        # a minor of distinct variables is multilinear, so no exponent of
+        # the S-polynomial exceeds 2 and no field of it can overflow
+        target = packed_s_polynomial(f_terms, f_lm, f_inv, g_terms, g_lm, g_inv, L, p)
+        acc, leads = {}, []
+        for side, terms in ((1, d.row_terms), (-1, d.col_terms)):
+            for t in terms:
+                det = self._det(t.pm, expand_pseudominor)
+                if det is None:
+                    continue
+                pm_terms, lm, _, span = det
+                cof = pack(t.cofactor)
+                if (cof + span) & guard:
+                    raise Overflow
+                leads.append(cof + lm)
+                sign = side * t.sign
+                for m, c in pm_terms:
+                    m += cof
+                    c = acc.get(m, 0) + sign * c
+                    if p:
+                        c %= p
+                    if c:
+                        acc[m] = c
+                    else:
+                        del acc[m]
+        if acc != target:
+            return False
+        # every surviving pseudominor must be a natural generator in disguise
+        size = self.layout.minor_size
+        return (all(len(t.pm.rows) == size(t.pm.vertex) for t in d.row_terms + d.col_terms)
+                and all(m < L for m in leads))
 
 
 def build_chain(layout, M, N, ord, field=QQ):

@@ -1,6 +1,9 @@
 import pytest
 
+from quivergb import spair
 from quivergb.layout import build_layout, default_order, parse_quiver
+from quivergb.minors import expand_minor
+from quivergb.poly import leading_term, mono_lcm, s_polynomial
 
 
 FOUR_VERTEX = ("vertices 4\n" + "arrow 1 3\n" * 3 + "arrow 1 4\n" * 2 +
@@ -11,6 +14,24 @@ def make_instance(text):
     spec = parse_quiver(text)
     layout = build_layout(spec)
     return layout, default_order(layout)
+
+
+def reference_step_verdict(layout, F, G, d, ord, field):
+    """Whether d certifies the chain step (F, G), worked out on unpacked
+    polynomials: d expands to S(F, G), every pseudominor has the natural
+    minor size, and every term leads strictly below the lcm of the leading
+    monomials of F and G."""
+    f, g = expand_minor(layout, F, field), expand_minor(layout, G, field)
+    if (d.M, d.N) != (F, G) or spair.expand_decomposition(layout, d, field) != s_polynomial(f, g, ord):
+        return False
+    key_l = ord.key(mono_lcm(leading_term(f, ord)[1], leading_term(g, ord)[1]))
+    for t in d.row_terms + d.col_terms:
+        if len(t.pm.rows) != layout.minor_size(t.pm.vertex):
+            return False
+        m = spair._term_leading_monomial(layout, t, ord, field)
+        if m is not None and not ord.key(m) < key_l:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,18 @@ class TestGens:
         assert code == 0 and out == ""
         assert len(dest.read_text().strip().splitlines()) == 9
 
+    @pytest.mark.parametrize("argv", [
+        ["gens", "--quiver", None],
+        ["double", "--m", "2", "--n", "2", "--r", "2", "--u", "2", "--v", "2", "gens"],
+    ], ids=["quiver", "double"])
+    def test_unwritable_out_file(self, capsys, quiver_file, tmp_path, argv):
+        dest = tmp_path / "missing" / "gens.txt"
+        argv = [quiver_file if a is None else a for a in argv]
+        code, out, err = run(capsys, *argv, "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output file: ") and "Traceback" not in err
+        assert not dest.parent.exists()
+
 
 class TestCheck:
     def test_pass(self, capsys, quiver_file):

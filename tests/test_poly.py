@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from itertools import combinations
 
 from quivergb import groebner, spair
 from quivergb.layout import default_order
-from quivergb.minors import natural_generators
+from quivergb.minors import MinorRef, PseudoMinorRef, natural_generators
 from quivergb.poly import (
     QQ, DomainError, InputError, OrderSpec, Polynomial,
     PreparedBasis, PrimeField, inverse, leading_term, mono_div, mono_divides,
@@ -17,6 +18,8 @@ from quivergb.poly import (
     render, s_polynomial, sorted_terms,
 )
 from quivergb.tensors import double_det_generators
+
+from conftest import reference_step_verdict
 
 
 def m(*pairs):
@@ -139,7 +142,7 @@ class TestDivision:
         assert rem.is_zero()
         assert [idx for _, idx in used] == [0, 1, 1]
         basis = PreparedBasis([Polynomial({(): Fraction(3)}), x], ORD3)
-        assert basis.divisor(basis.pack(m((0, 1)))) == 0 and basis.divisor(basis.pack(())) == 0
+        assert basis.divisor(basis.codec.pack(m((0, 1)))) == 0 and basis.divisor(basis.codec.pack(())) == 0
 
     def test_zero_generator_refused(self):
         G = [poly_var(0), Polynomial()]
@@ -307,6 +310,11 @@ class TestExactCoefficients:
         assert report.is_groebner and report.reduced_to_zero == 45
         for A, B in combinations([r for r, _ in natural_generators(layout)], 2):
             assert spair.verify_chain(layout, spair.build_chain(layout, A, B, ord), ord)
+        # verification expands packed: its expansions and their inverses too
+        run = spair.Certifier(layout, ord)
+        for A, B in combinations([r for r, _ in natural_generators(layout)], 2):
+            assert run.verify(run.build(A, B))
+        seen += [c for terms, _, inv, _ in run._dets.values() for c in [inv] + [c for _, c in terms]]
         assert seen and all(type(c) is int for c in seen)
 
     def test_packed_s_pairs_stay_integral(self):
@@ -331,15 +339,52 @@ class TestPackedDivision:
     def test_widening_during_division(self):
         x = poly_var(0)
         basis = PreparedBasis([poly_of((1, {0: 1}), (-1, {1: 100}))], self.LEX_XY)
-        assert basis.width == 8
+        assert basis.codec.width == 8
         # x**2 -> x*y**100 -> y**200, whose exponent outgrows an 8-bit field
         rem, used = reduce(poly_mul(x, x), basis, self.LEX_XY)
-        assert basis.width == 16
+        assert basis.codec.width == 16
         assert rem == poly_of((1, {1: 200}))
         assert used == [((1, m((0, 1))), 0), ((1, m((1, 100))), 0)]
         assert reduce(poly_mul(x, x), list(basis.polys), self.LEX_XY) == (rem, used)
-        assert basis.divisor(basis.pack(m((0, 1), (1, 200)))) == 0
-        assert basis.divisor(basis.pack(m((1, 200)))) is None
+        assert basis.divisor(basis.codec.pack(m((0, 1), (1, 200)))) == 0
+        assert basis.divisor(basis.codec.pack(m((1, 200)))) is None
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_widening_during_certificate_verification(self, single_3x3, field):
+        # chain steps of the 3x3 worked example, M = 2:2,3;1,3 and N = 2:1,3;2,3,
+        # with L = x[1,2,1]*x[2,1,1]*x[3,3,1] and y = x[3,3,1]
+        layout, ord = single_3x3
+        M, N = MinorRef(2, (2, 3), (1, 3)), MinorRef(2, (1, 3), (2, 3))
+        d = spair.build_chain(layout, M, N, ord, field).steps[0]
+        x12, y = layout.var_of[(1, 2, 1)], layout.var_of[(3, 3, 1)]
+        below = PseudoMinorRef(2, (2, 3), (2, 3))  # leads x[2,2,1]*y, under L
+        at_m = PseudoMinorRef(2, M.rows, M.cols)  # leads x[2,1,1]*y
+
+        def with_pair(cofactor, pm):
+            """d and a cancelling pair of terms, so it still expands to S(M, N)."""
+            pair = tuple(spair.DecompTerm(s, m(*cofactor), pm) for s in (1, -1))
+            return dataclasses.replace(d, row_terms=d.row_terms + pair)
+
+        forged = dataclasses.replace(d, row_terms=tuple(
+            dataclasses.replace(t, cofactor=m((y, 200))) for t in d.row_terms))
+        steps = [
+            (with_pair([(y, 200)], below), True),  # packs at 16 bits
+            (with_pair([(x12, 1), (y, 200)], at_m), False),  # leads above L
+            (forged, False),  # expands to something else
+            (with_pair([(y, 127)], below), True),  # packs at 8, y**128 in the sum
+        ]
+        for step, want in steps:
+            assert reference_step_verdict(layout, M, N, step, ord, field) == want
+            run = spair.Certifier(layout, ord, field)
+            assert run.codec.width == 8
+            assert run._verify_step(M, N, step) == want
+            assert run.codec.width == 16
+            # the packed memos were packed again: the genuine step still holds
+            assert run.verify(spair.ChainCertificate([M, N], [d]))
+        # chain building's test of the leading terms widens the same way
+        for (step, _), small in (steps[3], True), (steps[1], False):
+            run = spair.Certifier(layout, ord, field)
+            assert run.has_small_lts(step) == small and run.codec.width == 16
 
     def test_widening_at_pack_time(self):
         # an input term y**300, and a generator y**200 - 1 packed 16 bits wide
@@ -348,7 +393,7 @@ class TestPackedDivision:
         assert rem == poly_of((1, {1: 300}), (1, {1: 2}))
         assert used == [((1, ()), 0)]
         basis = PreparedBasis([poly_of((1, {1: 200}), (-1, {}))], self.LEX_XY)
-        assert basis.width == 16
+        assert basis.codec.width == 16
         rem, used = reduce(poly_of((1, {1: 450})), basis, self.LEX_XY)
         assert rem == poly_of((1, {1: 50}))
         assert used == [((1, m((1, 250))), 0), ((1, m((1, 50))), 0)]
@@ -357,9 +402,9 @@ class TestPackedDivision:
         # S(x*y**100 - y**110, y**120 - z) = x*z - y**130: y**20 * y**110 overflows
         G = [poly_of((1, {0: 1, 1: 100}), (-1, {1: 110})), poly_of((1, {1: 120}), (-1, {2: 1}))]
         basis = PreparedBasis(G, ORD3)
-        assert basis.width == 8
+        assert basis.codec.width == 8
         rem = basis.s_pair_remainder(0, 1)
-        assert basis.width == 16
+        assert basis.codec.width == 16
         assert rem == poly_of((1, {0: 1, 2: 1}), (-1, {1: 10, 2: 1}))
         assert rem == reduce(s_polynomial(G[0], G[1], ORD3), G, ORD3)[0]
 
@@ -371,7 +416,7 @@ class TestPackedDivision:
         for i, j in combinations(range(len(G)), 2):
             S = s_polynomial(G[i], G[j], ord)
             packed = basis._s_polynomial(i, j)
-            assert Polynomial({basis.unpack(mo): c for mo, c in packed.items()}, S.char) == S
+            assert Polynomial({basis.codec.unpack(mo): c for mo, c in packed.items()}, S.char) == S
             assert basis.s_pair_remainder(i, j) == reduce(S, basis, ord)[0]
 
     @settings(max_examples=300, deadline=None)
@@ -385,16 +430,17 @@ class TestPackedDivision:
         ab = mono_mul(a, b)
         basis = PreparedBasis([Polynomial({mono: 1}, field.char) for mono in (a, b, ab)], ord)
         # the narrowest width of 8 * 2**k whose fields hold every exponent
+        codec = basis.codec
         top = max((e for _, e in ab), default=0)
-        assert top < 2 ** (basis.width - 1)
-        assert basis.width == 8 or top >= 2 ** (basis.width // 2 - 1)
-        pa, pb, pab = basis.pack(a), basis.pack(b), basis.pack(ab)
-        assert basis.unpack(pa) == a and basis.unpack(pb) == b and basis.unpack(pab) == ab
+        assert top < 2 ** (codec.width - 1)
+        assert codec.width == 8 or top >= 2 ** (codec.width // 2 - 1)
+        pa, pb, pab = codec.pack(a), codec.pack(b), codec.pack(ab)
+        assert codec.unpack(pa) == a and codec.unpack(pb) == b and codec.unpack(pab) == ab
         assert (pa < pb) == (ord.key(a) < ord.key(b)) and (pa == pb) == (a == b)
         assert pa + pb == pab
-        assert ((pb - pa) & basis.guard == 0) == mono_divides(a, b)
-        assert ((pa - pb) & basis.guard == 0) == mono_divides(b, a)
-        assert basis._lcm(pa, pb) == basis.pack(mono_lcm(a, b))
+        assert ((pb - pa) & codec.guard == 0) == mono_divides(a, b)
+        assert ((pa - pb) & codec.guard == 0) == mono_divides(b, a)
+        assert codec.lcm(pa, pb) == codec.pack(mono_lcm(a, b))
         rem, used = reduce(Polynomial({ab: 2}, field.char), basis, ord)
         assert rem.is_zero() and used == [((field.of(2), b), 0)]
 

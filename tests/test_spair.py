@@ -11,14 +11,14 @@ from quivergb.minors import (
     expand_minor, minor_leading_term, natural_generators,
 )
 from quivergb.poly import (
-    QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term,
-    mono_divides, mono_from, poly_var, s_polynomial,
+    QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term, mono_div,
+    mono_divides, mono_from, mono_lcm, poly_var, s_polynomial,
 )
 from quivergb import spair
 from quivergb.layout import default_order
 from quivergb.tensors import double_det_generators
 
-from conftest import FOUR_VERTEX, make_instance
+from conftest import FOUR_VERTEX, make_instance, reference_step_verdict
 
 
 # the worked 3x3 example: M = rows(2,3) cols(1,3), N = rows(1,3) cols(2,3)
@@ -133,11 +133,11 @@ class TestDecomposition:
 
     def test_small_lts_orientation(self, single_3x3):
         layout, ord = single_3x3
-        an = spair.analyze(layout, M3, N3, ord)
+        run = spair.Certifier(layout, ord)
         d = spair.p_decomposition(layout, M3, N3, ord)
-        assert spair.has_small_lts(layout, d, an.L, ord)
+        assert run.has_small_lts(d)
         d_rev = spair.p_decomposition(layout, N3, M3, ord)
-        assert not spair.has_small_lts(layout, d_rev, an.L, ord)
+        assert not run.has_small_lts(d_rev)
 
     def test_empty_for_equal_minors(self, single_3x3):
         layout, ord = single_3x3
@@ -437,8 +437,9 @@ class TestRunCertifier:
                     == spair.render_certificate(layout, one, ord))
 
     def test_build_leading_monomials_match_the_expansion(self):
-        # build reads each term's leading monomial off the sorted diagonal;
-        # verify expands it; on every term either side of every step they agree
+        # build reads each term's packed leading monomial off the sorted
+        # diagonal; verify expands it; on every term either side of every
+        # step they agree
         layout, ord = pencil_instance(3, 3, 2, 2, 2)
         refs = [r for r, _ in natural_generators(layout)]
         run = spair.Certifier(layout, ord)
@@ -449,8 +450,65 @@ class TestRunCertifier:
                  for t in d.row_terms + d.col_terms]
         assert (len(steps), len(terms)) == (2000, 7186)
         for t in terms:
-            assert (spair._term_leading_diagonal(layout, t, ord)
+            m = run._lead_diagonal(t)
+            assert ((m if m is None else run.codec.unpack(m))
                     == spair._term_leading_monomial(layout, t, ord, QQ))
+
+
+def step_mutants(layout, F, G, d, ord):
+    """d and three altered copies: one term's sign flipped, two rows of one
+    term's pseudominor swapped, and a cancelling pair of terms added that
+    leads with the lcm L itself, so the expansion is unchanged and only the
+    strict test ``< L`` can reject it."""
+    out = {"genuine": d}
+    terms = d.row_terms + d.col_terms
+    if terms:
+        side = "row_terms" if d.row_terms else "col_terms"
+        t = getattr(d, side)[0]
+        rest = getattr(d, side)[1:]
+        out["sign"] = dataclasses.replace(
+            d, **{side: (dataclasses.replace(t, sign=-t.sign),) + rest})
+        rows = t.pm.rows
+        swapped = dataclasses.replace(t.pm, rows=(rows[1], rows[0]) + rows[2:])
+        out["rows"] = dataclasses.replace(
+            d, **{side: (dataclasses.replace(t, pm=swapped),) + rest})
+    lm_f = minor_leading_term(layout, F, ord)
+    cofactor = mono_div(mono_lcm(lm_f, minor_leading_term(layout, G, ord)), lm_f)
+    pair = tuple(spair.DecompTerm(s, cofactor, PseudoMinorRef(F.vertex, F.rows, F.cols))
+                 for s in (1, -1))
+    out["at-L"] = dataclasses.replace(d, row_terms=d.row_terms + pair)
+    return out
+
+
+class TestPackedVerification:
+    """Verification works on packed monomials; its verdict must be the one
+    worked out on unpacked polynomials, for genuine and altered steps."""
+
+    @pytest.mark.parametrize("instance, field, nsteps", [
+        (lambda: pencil_instance(3, 3, 2, 2, 2), QQ, 2000),
+        (lambda: make_instance(FOUR_VERTEX), PrimeField(7), 4255),
+    ], ids=["pencil-3x3-QQ", "four-vertex-GF7"])
+    def test_packed_verdict_matches_the_reference(self, instance, field, nsteps):
+        layout, ord = instance()
+        refs = [r for r, _ in natural_generators(layout, field)]
+        build = spair.Certifier(layout, ord, field)
+        steps = {s: d for A, B in combinations(refs, 2)
+                 for cert in [build.build(A, B)] for s, d in zip(steps_of(cert), cert.steps)}
+        assert len(steps) == nsteps
+        verify = spair.Certifier(layout, ord, field)  # one that built nothing
+        verdicts = Counter()
+        for (F, G), d in steps.items():
+            for kind, step in step_mutants(layout, F, G, d, ord).items():
+                want = reference_step_verdict(layout, F, G, step, ord, field)
+                assert verify._verify_step(F, G, step) == want, (F, G, kind)
+                assert build._verify_step(F, G, step) == want, (F, G, kind)
+                # building reads the same leading monomials off the diagonals
+                assert build.has_small_lts(step) == (kind != "at-L"), (F, G, kind)
+                verdicts[kind, want] += 1
+        assert verdicts["genuine", False] == verdicts["at-L", True] == 0
+        assert verdicts["sign", True] == verdicts["rows", True] == 0
+        assert verdicts["sign", False] == verdicts["rows", False] > 0
+        assert build.codec.width == 8
 
 
 MEMO_LAYOUT, _ = make_instance("vertices 2\narrow 1 2\narrow 1 2\nm 3 3\nrank 1 1\n")
