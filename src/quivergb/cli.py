@@ -8,10 +8,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .poly import QQ, DomainError, InputError, Polynomial, PrimeField, render
+from .poly import QQ, DomainError, InputError, Polynomial, PrimeField, render, s_polynomial
 from .layout import build_layout, default_order, parse_order_file, parse_quiver
 from .minors import (
-    ensure_consistent, natural_generators, parse_minor_spec, render_minor_spec,
+    ensure_consistent, expand_minor, natural_generators, parse_minor_spec, render_minor_spec,
 )
 from .groebner import buchberger_check, initial_ideal_gens, is_squarefree
 from . import spair, tensors
@@ -68,7 +68,7 @@ def _check(layout, ord, field, args):
     report = buchberger_check(polys, ord,
                               coprime_skip=not args.no_coprime_skip,
                               fail_fast=args.fail_fast)
-    print(report.render(ord, layout.var_name, machine=True))
+    print(report.render(ord, layout.var_name))
     return 0 if report.is_groebner else 1
 
 
@@ -101,8 +101,6 @@ def _certify(layout, ord, field, args):
 
 
 def _spair(layout, ord, field, args):
-    from .minors import expand_minor
-    from .poly import s_polynomial
     M = parse_minor_spec(args.m1)
     N = parse_minor_spec(args.m2)
     pm, pn = expand_minor(layout, M, field), expand_minor(layout, N, field)

@@ -23,13 +23,15 @@ class CheckReport:
     def is_groebner(self):
         return not self.failures
 
-    def render(self, ord=None, namer=None, machine=False):
+    def render(self, ord=None, namer=None):
+        """The summary and verdict lines, then one line per failure when
+        given the order and variable namer that failure lines need."""
         lines = [
             f"pairs: {self.total_pairs}  coprime-skipped: {self.skipped_coprime}  "
             f"reduced-to-zero: {self.reduced_to_zero}  failures: {len(self.failures)}",
             "verdict: " + ("GROEBNER" if self.is_groebner else "NOT A GROEBNER BASIS"),
         ]
-        if machine and ord is not None and namer is not None:
+        if ord is not None and namer is not None:
             for i, j, rem in self.failures:
                 lines.append(f"pair {i} {j} FAIL {render(rem, ord, namer)}")
         return "\n".join(lines)

@@ -25,8 +25,6 @@ class QuiverSpec:
 
 def parse_quiver(text):
     """Parse the line-oriented quiver config grammar."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     d = None
     arrows = []
     m = u = None
@@ -189,8 +187,6 @@ def default_order(layout):
 
 def parse_order_file(layout, text):
     """Ranking file: one line per variable, ``x[i,j,k] <rank>``."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     rank = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -340,7 +340,8 @@ class Overflow(Exception):
 
 
 class MonomialCodec:
-    """Monomials of one order packed into ints.
+    """Monomials and polynomials of one order packed into ints, and the one
+    owner of the rule for when what was packed goes stale.
 
     A packed monomial (Monagan and Pearce, "Sparse polynomial division
     using a heap", J. Symb. Comput. 46, 2011) is an int with one
@@ -351,15 +352,18 @@ class MonomialCodec:
     ``(b - a) & guard == 0``.  Neither term of a sum of two packed
     monomials sets a guard bit, so the sum never carries out of a field: it
     sets a guard bit exactly when an exponent outgrew its field.
+    ``below[f]`` masks the fields under field f.  A polynomial has one
+    packed form, the tuple packed() returns.
 
     The width starts at 8.  Whoever finds an exponent that does not fit,
     whether packing it or making it by a product, raises Overflow inside
     run(), which doubles the width and starts the work again from scratch.
-    Everything packed at the old width is stale then: a user of the codec
-    records the width it packed at and packs again when it differs.
+    Everything packed at the old width is stale then, so the codec empties
+    every dict it handed out by cache().  Users keep what they pack in
+    those dicts and pack it again when it is missing.
     """
 
-    __slots__ = ("ord", "width", "guard", "_vars", "_shift")
+    __slots__ = ("ord", "width", "guard", "below", "_vars", "_shift", "_caches")
 
     def __init__(self, ord):
         self.ord = ord
@@ -367,13 +371,23 @@ class MonomialCodec:
         self._vars = [None] * n  # the variable of each field, lowest field first
         for v, r in ord.rank.items():
             self._vars[n - 1 - r] = v
+        self._caches = []
         self._set_width(8)
 
     def _set_width(self, width):
         top = self.ord.nvars - 1
         self.width = width
         self.guard = sum(1 << (width * f + width - 1) for f in range(top + 1))
+        self.below = [(1 << (width * f)) - 1 for f in range(top + 1)]
         self._shift = {v: width * (top - r) for v, r in self.ord.rank.items()}  # low bit of v's field
+        for cache in self._caches:
+            cache.clear()
+
+    def cache(self):
+        """A new dict for what is packed by this codec; every widening empties it."""
+        cache = {}
+        self._caches.append(cache)
+        return cache
 
     def run(self, step, *args):
         """step(*args), doubling the width and running it again from scratch
@@ -417,14 +431,28 @@ class MonomialCodec:
         take_a = ge - (ge >> (self.width - 1))  # those fields below their guard bit
         return b ^ ((a ^ b) & take_a)
 
+    def packed(self, f):
+        """The packed form of a nonzero polynomial f, (terms, lm, inv, span):
+        its (packed monomial, coeff) terms, the largest of those monomials,
+        the inverse of that one's coeff, and the fieldwise max of all of
+        them.  Overflow when an exponent does not fit."""
+        pack, lcm = self.pack, self.lcm
+        terms = [(pack(m), c) for m, c in f.terms.items()]
+        lm, lc = max(terms)
+        span = 0
+        for m, _ in terms:
+            span = lcm(span, m)
+        return terms, lm, inverse(lc, f.char), span
 
-def packed_s_polynomial(f_terms, f_lm, f_inv, g_terms, g_lm, g_inv, big, p):
+
+def packed_s_polynomial(f, g, big, p):
     """S(f, g) as {packed monomial: coeff}, with s_polynomial's arithmetic.
 
-    Each of f and g comes as its (packed monomial, coeff) terms, its packed
-    leading monomial and the inverse of its leading coefficient; big is the
-    lcm of the two leading monomials and p the characteristic.  Overflow is
-    the caller's to rule out."""
+    f and g are packed forms (MonomialCodec.packed), big is the lcm of
+    their leading monomials and p the characteristic.  Overflow is the
+    caller's to rule out."""
+    f_terms, f_lm, f_inv, _ = f
+    g_terms, g_lm, g_inv, _ = g
     cof = big - f_lm
     if p:
         work = {cof + m: f_inv * c % p for m, c in f_terms}
@@ -451,31 +479,29 @@ class PreparedBasis:
     """The generators of a division, with what every division by them needs
     worked out once, and the division engine that uses it.
 
-    Kept per generator: the polynomial, its leading term, the variable set
-    of its leading monomial (for coprimality tests), the inverse of its
-    leading coefficient, and its terms with monomials packed by the basis's
-    MonomialCodec.  Every generator has the basis's characteristic ``char``,
-    which its first generator sets.  When the codec widens, every generator
-    is packed again and the division starts again.
+    Kept per generator: the polynomial, the variable set of its leading
+    monomial (for coprimality tests), and its packed form by the basis's
+    MonomialCodec, whose ``lm`` is the leading monomial.  Every generator
+    has the basis's characteristic ``char``, which its first generator sets.
 
-    Each generator is filed under the top field of its leading monomial,
-    ``bit_length() // width``.  Natural generators have squarefree diagonal
-    leading monomials, so a term has few candidate divisors: those filed
-    under one of its fields.
+    An anchor index files each generator under the top field of its leading
+    monomial, ``bit_length() // width``, or under None when that is 1.
+    Natural generators have squarefree diagonal leading monomials, so a term
+    has few candidate divisors: those filed under one of its fields.  The
+    packed forms and the anchor index live in codec caches, so a widening
+    empties both and the next division packs every generator again.
     """
 
-    __slots__ = ("polys", "ord", "char", "lts", "lvars", "codec", "_invs", "_width", "_guard",
-                 "_terms", "_lms", "_anchored", "_const", "_below")
+    __slots__ = ("polys", "ord", "char", "lvars", "codec", "_packed", "_anchored")
 
     def __init__(self, G, ord):
         self.polys = []
         self.ord = ord
         self.char = 0
-        self.lts = []  # (coeff, monomial) of each generator's leading term
         self.lvars = []  # frozenset of the variables of each leading monomial
-        self._invs = []  # inverse of each generator's leading coefficient
         self.codec = MonomialCodec(ord)
-        self._width = self._guard = None  # the codec's width and guard at packing
+        self._packed = self.codec.cache()  # index -> packed form of the generator
+        self._anchored = self.codec.cache()  # top field of lm, or None -> [(index, lm)], ascending
         self._pack()
         for g in G:
             self.append(g)
@@ -488,39 +514,28 @@ class PreparedBasis:
         if self.polys and g.char != self.char:
             raise DomainError("mixed prime fields")
         self.char = g.char
-        lt = leading_term(g, self.ord)
         self.polys.append(g)
-        self.lts.append(lt)
-        self.lvars.append(mono_vars(lt[1]))
-        self._invs.append(inverse(lt[0], g.char))
         self.codec.run(self._pack)
+        self.lvars.append(mono_vars(self.codec.unpack(self._packed[len(self.polys) - 1][1])))
 
     def _pack(self):
-        """Pack and file every generator not yet packed at the codec's
-        width: all of them after a widening, else only new ones."""
-        width, pack = self.codec.width, self.codec.pack
-        if self._width != width:
-            n = self.ord.nvars
-            self._width, self._guard = width, self.codec.guard
-            self._below = [(1 << (width * f)) - 1 for f in range(n)]  # fields under f
-            self._terms = []  # [(packed monomial, coeff)] of each generator
-            self._lms = []  # packed leading monomial of each generator
-            self._anchored = [[] for _ in range(n)]  # field -> [(index, packed lm)], ascending
-            self._const = None  # lowest index with a constant leading monomial
-        for idx in range(len(self._terms), len(self.polys)):
-            terms = [(pack(m), c) for m, c in self.polys[idx].terms.items()]
-            lm = pack(self.lts[idx][1])
-            self._terms.append(terms)
-            self._lms.append(lm)
-            if lm:
-                self._anchored[lm.bit_length() // width].append((idx, lm))
-            elif self._const is None:
-                self._const = idx  # a constant divides every monomial
+        """Pack and file every generator not packed yet: all of them after a
+        widening, else only new ones."""
+        packed, anchored, width = self._packed, self._anchored, self.codec.width
+        if not anchored:  # new, or emptied by a widening: one list per anchor
+            anchored.update((f, []) for f in (None, *range(self.ord.nvars)))
+        for idx in range(len(packed), len(self.polys)):
+            form = self.codec.packed(self.polys[idx])
+            lm = form[1]
+            anchored[lm.bit_length() // width if lm else None].append((idx, lm))
+            packed[idx] = form
 
     def divisor(self, m):
         """Lowest index whose leading monomial divides the packed monomial m, or None."""
-        best = self._const
-        guard, width, anchored, below = self._guard, self._width, self._anchored, self._below
+        codec, anchored = self.codec, self._anchored
+        guard, width, below = codec.guard, codec.width, codec.below
+        const = anchored[None]  # a constant divides every monomial
+        best = const[0][0] if const else None
         rest = m
         while rest:  # m's fields, from the top
             f = rest.bit_length() // width
@@ -535,10 +550,8 @@ class PreparedBasis:
 
     def _s_polynomial(self, i, j):
         """S(G[i], G[j]) as {packed monomial: coeff}."""
-        lm_i, lm_j = self._lms[i], self._lms[j]
-        return packed_s_polynomial(self._terms[i], lm_i, self._invs[i],
-                                   self._terms[j], lm_j, self._invs[j],
-                                   self.codec.lcm(lm_i, lm_j), self.char)
+        f, g = self._packed[i], self._packed[j]
+        return packed_s_polynomial(f, g, self.codec.lcm(f[1], g[1]), self.char)
 
     def _divide(self, work):
         """Divide {packed monomial: coeff} by the basis, in place.
@@ -546,10 +559,10 @@ class PreparedBasis:
         Returns (work, used): work is now the remainder, and used lists the
         cofactors as (coeff, packed monomial, index).  The largest reducible
         term is cancelled first, by the lowest-index eligible generator."""
-        guard, p = self._guard, self.char
+        guard, p = self.codec.guard, self.char
         if any(m & guard for m in work):
             raise Overflow
-        terms, lms, invs, divisor = self._terms, self._lms, self._invs, self.divisor
+        packed, divisor = self._packed, self.divisor
         # Max-heap of monomials as negated packed ints.  A step cancels its
         # target and adds only smaller monomials, so each monomial is pushed
         # once and popped after every larger one is settled.
@@ -565,13 +578,14 @@ class PreparedBasis:
             idx = divisor(m)
             if idx is None:  # irreducible: it stays in the remainder
                 continue
-            cof_c = c * invs[idx]
+            g_terms, g_lm, g_inv, _ = packed[idx]
+            cof_c = c * g_inv
             if p:
                 cof_c %= p
-            cof_m = m - lms[idx]
+            cof_m = m - g_lm
             used.append((cof_c, cof_m, idx))
             neg_c = -cof_c
-            for gm, gc in terms[idx]:
+            for gm, gc in g_terms:
                 mm = cof_m + gm
                 delta = neg_c * gc
                 if mm in work:
@@ -593,8 +607,9 @@ class PreparedBasis:
 
     def _step(self, make_work, *args):
         """_divide(make_work(*args)) at the codec's current width, for
-        codec.run: the basis is packed again first if the codec widened."""
-        if self._width != self.codec.width:
+        codec.run: the generators are packed again first if a widening
+        emptied their packed forms."""
+        if len(self._packed) < len(self.polys):
             self._pack()
         return self._divide(make_work(*args))
 
@@ -603,8 +618,8 @@ class PreparedBasis:
         char = self.char if self.polys else f.char
         if f.terms and f.char != char:
             raise DomainError("mixed prime fields")
-        pack = self.codec.pack
-        work, used = self.codec.run(self._step, lambda: {pack(m): c for m, c in f.terms.items()})
+        packed = self.codec.packed
+        work, used = self.codec.run(self._step, lambda: dict(packed(f)[0]) if f.terms else {})
         unpack = self.codec.unpack
         return (Polynomial({unpack(m): c for m, c in work.items()}, char),
                 [((c, unpack(m)), idx) for c, m, idx in used])

@@ -663,8 +663,8 @@ class Certifier:
 
     Build and verify both work on monomials packed by the run's own
     MonomialCodec.  The packed memos (determinant expansions and diagonal
-    leading monomials) hold the width they were packed at; when the codec
-    widens they are emptied and the interrupted work starts again."""
+    leading monomials) are codec caches: a widening empties them, and the
+    interrupted work starts again and packs what it needs afresh."""
 
     def __init__(self, layout, ord, field=QQ):
         self.layout = layout
@@ -674,37 +674,16 @@ class Certifier:
         self._steps = {}      # (F, G) -> accepted Decomposition, or None
         self._chains = {}     # (F, G) -> refs of the same-matrix chain
         self._verified = {}   # (F, G) -> the Decomposition verified for it
-        self._width = None    # the codec width of the two packed memos
-        self._dets = {}       # (vertex, rows, cols) -> packed determinant, or None for 0
-        self._diagonals = {}  # (vertex, rows, cols) -> packed diagonal, rows and cols sorted
-
-    def _sync(self):
-        """Empty the packed memos if the codec has widened since they were filled."""
-        if self._width != self.codec.width:
-            self._width = self.codec.width
-            self._dets.clear()
-            self._diagonals.clear()
+        self._dets = self.codec.cache()       # (vertex, rows, cols) -> packed form, or None for 0
+        self._diagonals = self.codec.cache()  # (vertex, rows, cols) -> packed diagonal of the sorted minor
 
     def _det(self, ref, expand):
-        """expand(layout, ref, field) packed, as (terms, lm, inv, span): its
-        (packed monomial, coeff) terms, the largest of those monomials, the
-        inverse of that one's coeff, and the fieldwise max of all of them;
-        None when the expansion is 0."""
+        """expand(layout, ref, field) in its packed form, or None when it is 0."""
         key = (ref.vertex, ref.rows, ref.cols)
-        if key in self._dets:
-            return self._dets[key]
-        poly = expand(self.layout, ref, self.field)
-        det = None
-        if poly.terms:
-            pack, lcm = self.codec.pack, self.codec.lcm
-            terms = [(pack(m), c) for m, c in poly.terms.items()]
-            lm, lc = max(terms)
-            span = 0
-            for m, _ in terms:
-                span = lcm(span, m)
-            det = (terms, lm, inverse(lc, poly.char), span)
-        self._dets[key] = det
-        return det
+        if key not in self._dets:
+            poly = expand(self.layout, ref, self.field)
+            self._dets[key] = self.codec.packed(poly) if poly.terms else None
+        return self._dets[key]
 
     def _diagonal(self, vertex, rows, cols):
         """The packed diagonal of the minor of the sorted rows and columns,
@@ -735,7 +714,6 @@ class Certifier:
         with this; verification re-derives each leading monomial from the
         expansion."""
         def below():
-            self._sync()
             M, N = d.M, d.N
             top = self.codec.lcm(self._diagonal(M.vertex, M.rows, M.cols),
                                  self._diagonal(N.vertex, N.rows, N.cols))
@@ -813,7 +791,6 @@ class Certifier:
     def _ends_hold(self, refs):
         """Whether the leading monomial of every ref divides the lcm of those
         of the two end refs."""
-        self._sync()
         guard = self.codec.guard
         lms = [self._diagonal(ref.vertex, ref.rows, ref.cols) for ref in refs]
         top = self.codec.lcm(lms[0], lms[-1])
@@ -835,14 +812,12 @@ class Certifier:
         being the largest monomial of a packed expansion, so the test of a
         term is ``cof + lm(pm) < L`` on ints.  A sum that outgrows a field
         raises Overflow before anything is compared."""
-        self._sync()
         guard, pack, p = self.codec.guard, self.codec.pack, self.field.char
-        f_terms, f_lm, f_inv, _ = self._det(F, expand_minor)
-        g_terms, g_lm, g_inv, _ = self._det(G, expand_minor)
-        L = self.codec.lcm(f_lm, g_lm)
+        f, g = self._det(F, expand_minor), self._det(G, expand_minor)
+        L = self.codec.lcm(f[1], g[1])
         # a minor of distinct variables is multilinear, so no exponent of
         # the S-polynomial exceeds 2 and no field of it can overflow
-        target = packed_s_polynomial(f_terms, f_lm, f_inv, g_terms, g_lm, g_inv, L, p)
+        target = packed_s_polynomial(f, g, L, p)
         acc, leads = {}, []
         for side, terms in ((1, d.row_terms), (-1, d.col_terms)):
             for t in terms:

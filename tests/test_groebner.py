@@ -53,12 +53,12 @@ class TestCheck:
         x, y, z, w = (poly_var(v) for v in range(4))
         namer = "xyzw".__getitem__
         G = [poly_sub(poly_mul(x, y), z), poly_sub(poly_mul(x, z), w)]
-        assert buchberger_check(G, ord).render(ord, namer, machine=True) == (
+        assert buchberger_check(G, ord).render(ord, namer) == (
             "pairs: 1  coprime-skipped: 0  reduced-to-zero: 0  failures: 1\n"
             "verdict: NOT A GROEBNER BASIS\n"
             "pair 0 1 FAIL +y*w-z*z")
         G.append(poly_sub(poly_mul(y, w), z))
-        assert buchberger_check(G, ord).render(ord, namer, machine=True) == (
+        assert buchberger_check(G, ord).render(ord, namer) == (
             "pairs: 3  coprime-skipped: 1  reduced-to-zero: 0  failures: 2\n"
             "verdict: NOT A GROEBNER BASIS\n"
             "pair 0 1 FAIL -z*z+z\n"

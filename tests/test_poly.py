@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from quivergb import groebner, spair
 from quivergb.layout import default_order
 from quivergb.minors import MinorRef, PseudoMinorRef, natural_generators
 from quivergb.poly import (
-    QQ, DomainError, InputError, OrderSpec, Polynomial,
+    QQ, DomainError, InputError, MonomialCodec, OrderSpec, Polynomial,
     PreparedBasis, PrimeField, inverse, leading_term, mono_div, mono_divides,
-    mono_from, mono_lcm, mono_mul, poly_add,
+    mono_from, mono_lcm, mono_mul, mono_vars, poly_add,
     poly_from_terms, poly_mul, poly_scale, poly_sub, poly_var, reduce,
     render, s_polynomial, sorted_terms,
 )
@@ -220,6 +221,8 @@ class TestDivisionProperties:
             acc = poly_add(acc, poly_scale(G[idx], (c, mo)))
         assert acc == f
         lms = [leading_term(g, ord)[1] for g in G]
+        basis = PreparedBasis(G, ord)
+        assert all(basis.lvars[i] == mono_vars(lm) for i, lm in enumerate(lms))
         assert not any(mono_divides(lm, mo) for mo in rem.terms for lm in lms)
         reduced = [ord.key(mono_mul(mo, lms[idx])) for (_, mo), idx in used]
         assert all(a > b for a, b in zip(reduced, reduced[1:]))
@@ -443,6 +446,32 @@ class TestPackedDivision:
         assert codec.lcm(pa, pb) == codec.pack(mono_lcm(a, b))
         rem, used = reduce(Polynomial({ab: 2}, field.char), basis, ord)
         assert rem.is_zero() and used == [((field.of(2), b), 0)]
+        # a fresh codec packs a polynomial as the tuple route does, widening
+        # under run() for exponents of 128 and above
+        f = poly_from_terms([(1, a), (2, b), (-1, ab)], field)
+        fresh = MonomialCodec(ord)
+
+        def both_routes():
+            lc, lm = leading_term(f, ord)
+            span = functools.reduce(mono_lcm, f.terms, ())
+            tuple_route = ([(fresh.pack(mo), c) for mo, c in f.terms.items()],
+                           fresh.pack(lm), inverse(lc, f.char), fresh.pack(span))
+            return fresh.packed(f), tuple_route
+        packed, tuple_route = fresh.run(both_routes)
+        assert packed == tuple_route
+
+    def test_widening_empties_every_cache(self):
+        codec = MonomialCodec(self.LEX_XY)
+        first, second = codec.cache(), codec.cache()
+        first["x"], second["y"] = codec.pack(m((0, 1))), codec.pack(m((1, 1)))
+        seen = []
+
+        def step():
+            seen.append((dict(first), dict(second)))
+            return codec.pack(m((1, 200)))
+        assert codec.unpack(codec.run(step)) == m((1, 200))
+        assert codec.width == 16 and not first and not second
+        assert seen == [({"x": 1 << 8}, {"y": 1}), ({}, {})]
 
 
 class TestRender:
