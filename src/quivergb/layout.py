@@ -89,6 +89,12 @@ def render_quiver(spec):
 
 @dataclass
 class Layout:
+    """The variable lattice of a quiver and the vertex matrices over it.
+
+    It holds one memo, filled by minors.minor_leading_term: the diagonal
+    monomial of each minor asked for, a pure function of the ref that every
+    leading-term query reads.  Determinants are not memoised; each call of
+    minors.expand_minor expands afresh."""
     spec: QuiverSpec
     pages: list          # per arrow (0-based): (nrows, ncols)
     var_of: dict         # (i, j, k) 1-based lattice point -> VarId
@@ -96,11 +102,7 @@ class Layout:
     matrices: dict       # vertex -> list of rows of VarIds (may be absent)
     roles: dict          # vertex -> "sink" | "source"
     pos_in_matrix: dict = field(default_factory=dict)  # (vertex, VarId) -> (p, q)
-    # Memos of pure functions of a ref, filled by minors.  Keys hold values
-    # only (a field enters by its characteristic), never object identities.
-    #   dets: (vertex, rows, cols, field.char) -> determinant, shared, never mutated
-    #   diagonals: (vertex, rows, cols) -> diagonal monomial
-    dets: dict = field(default_factory=dict, compare=False, repr=False)
+    # (vertex, rows, cols) -> diagonal monomial; keys hold values only
     diagonals: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

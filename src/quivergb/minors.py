@@ -98,13 +98,9 @@ def _submatrix(layout, ref):
 
 
 def _det(layout, ref, field):
-    """Determinant of ref's submatrix, expanded once per layout and field."""
-    key = (ref.vertex, ref.rows, ref.cols, field.char)
-    det = layout.dets.get(key)
-    if det is None:
-        grid = [[poly_var(v, field) for v in row] for row in _submatrix(layout, ref)]
-        det = layout.dets[key] = det_poly_matrix(grid)
-    return det
+    """Determinant of ref's submatrix over field."""
+    grid = [[poly_var(v, field) for v in row] for row in _submatrix(layout, ref)]
+    return det_poly_matrix(grid)
 
 
 def expand_minor(layout, ref, field=QQ):
@@ -130,9 +126,10 @@ def ensure_consistent(layout, ord):
 
 
 def minor_leading_term(layout, ref, ord):
-    """The leading monomial of a minor.  Under a consistent order it is the
-    diagonal, with coefficient 1, the same for every consistent order, so
-    its memo key holds no order."""
+    """The leading monomial of a minor, read off its diagonal without
+    expanding it.  Under a consistent order the diagonal leads, with
+    coefficient 1, and is the same for every consistent order, so the memo
+    ``layout.diagonals`` keys on the ref alone."""
     ensure_consistent(layout, ord)
     key = (ref.vertex, ref.rows, ref.cols)
     mono = layout.diagonals.get(key)

@@ -633,9 +633,10 @@ class PreparedBasis:
 
 
 def prepared(G, ord):
-    """G itself when it is a PreparedBasis for ord, else G prepared for ord."""
+    """G itself when it is a PreparedBasis for ord (the same ranking, by
+    value), else G prepared for ord."""
     if isinstance(G, PreparedBasis):
-        require(G.ord is ord, "basis was prepared under another order")
+        require(G.ord.rank == ord.rank, "basis was prepared under another order")
         return G
     return PreparedBasis(G, ord)
 

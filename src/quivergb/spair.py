@@ -33,8 +33,8 @@ from .poly import (
     leading_term,
 )
 from .minors import (
-    MinorRef, PseudoMinorRef, expand_minor, expand_pseudominor,
-    minor_leading_term, render_minor_spec,
+    MinorRef, PseudoMinorRef, ensure_consistent, expand_minor,
+    expand_pseudominor, minor_leading_term, render_minor_spec,
 )
 
 
@@ -291,25 +291,22 @@ def _coprime_decomposition(layout, M, N, ord, field):
     cn, lm_n = leading_term(pm_n, ord)
     unit_inv = inverse(cm * cn, field.char)
     minus_one = field.of(-1)  # 1 over GF(2), where every sign is +
-    row_terms = []
-    for c, m in sorted_terms(pm_m, ord):
-        if m == lm_m:
-            continue
-        s = field.of(c * unit_inv)
-        if s == 1:
-            sign = 1
-        elif s == minus_one:
-            sign = -1
-        else:  # pragma: no cover - minors have unit coefficients
-            raise DomainError("coprime decomposition needs unit coefficients")
-        row_terms.append(DecompTerm(sign, m, PseudoMinorRef(N.vertex, N.rows, N.cols)))
-    col_terms = []
-    for c, m in sorted_terms(pm_n, ord):
-        if m == lm_n:
-            continue
-        sign = 1 if field.of(c * unit_inv) == 1 else -1
-        col_terms.append(DecompTerm(sign, m, PseudoMinorRef(M.vertex, M.rows, M.cols)))
-    return Decomposition(M, N, tuple(row_terms), tuple(col_terms))
+
+    def tail_terms(p, lm, other):
+        terms = []
+        for c, m in sorted_terms(p, ord):
+            if m == lm:
+                continue
+            s = field.of(c * unit_inv)
+            if s == 1:
+                sign = 1
+            elif s == minus_one:
+                sign = -1
+            else:  # pragma: no cover - minors have unit coefficients
+                raise DomainError("coprime decomposition needs unit coefficients")
+            terms.append(DecompTerm(sign, m, PseudoMinorRef(other.vertex, other.rows, other.cols)))
+        return tuple(terms)
+    return Decomposition(M, N, tail_terms(pm_m, lm_m, N), tail_terms(pm_n, lm_n, M))
 
 
 def p_decomposition(layout, M, N, ord, field=QQ):
@@ -655,70 +652,58 @@ class Certifier:
     layout, order and field.
 
     Chains of different pairs share many steps (F, G).  For the life of the
-    certifier it keeps the accepted decomposition of every step it built,
-    the refs of every same-matrix chain, and the decomposition it verified
-    for every step, so each distinct step is built once and verified once.
-    A step is taken as verified only when the certificate's decomposition
-    equals the verified one by value; any other is verified in full.
+    certifier it keeps the accepted decomposition of every step it built
+    and the decomposition it verified for every step, so each distinct step
+    is built once and verified once.  A step is taken as verified only when
+    the certificate's decomposition equals the verified one by value; any
+    other is verified in full.
 
     Build and verify both work on monomials packed by the run's own
-    MonomialCodec.  The packed memos (determinant expansions and diagonal
-    leading monomials) are codec caches: a widening empties them, and the
-    interrupted work starts again and packs what it needs afresh."""
+    MonomialCodec.  Each distinct ref is expanded once per run, into the
+    one packed form that both read leading monomials from.  That memo is a
+    codec cache: a widening empties it, and the interrupted work starts
+    again and packs what it needs afresh.  The order is checked for
+    consistency once, here, before any verdict."""
 
     def __init__(self, layout, ord, field=QQ):
+        ensure_consistent(layout, ord)
         self.layout = layout
         self.ord = ord
         self.field = field
         self.codec = MonomialCodec(ord)
         self._steps = {}      # (F, G) -> accepted Decomposition, or None
-        self._chains = {}     # (F, G) -> refs of the same-matrix chain
         self._verified = {}   # (F, G) -> the Decomposition verified for it
-        self._dets = self.codec.cache()       # (vertex, rows, cols) -> packed form, or None for 0
-        self._diagonals = self.codec.cache()  # (vertex, rows, cols) -> packed diagonal of the sorted minor
+        self._dets = self.codec.cache()  # (vertex, rows, cols) -> packed form, or None for 0
 
     def _det(self, ref, expand):
         """expand(layout, ref, field) in its packed form, or None when it is 0."""
         key = (ref.vertex, ref.rows, ref.cols)
-        if key not in self._dets:
+        try:
+            return self._dets[key]
+        except KeyError:
             poly = expand(self.layout, ref, self.field)
-            self._dets[key] = self.codec.packed(poly) if poly.terms else None
-        return self._dets[key]
+            det = self._dets[key] = self.codec.packed(poly) if poly.terms else None
+            return det
 
-    def _diagonal(self, vertex, rows, cols):
-        """The packed diagonal of the minor of the sorted rows and columns,
-        its leading monomial under a consistent order."""
-        key = (vertex, rows, cols)
-        diag = self._diagonals.get(key)
-        if diag is None:
-            ref = MinorRef(vertex, tuple(sorted(rows)), tuple(sorted(cols)))
-            diag = self._diagonals[key] = self.codec.pack(
-                minor_leading_term(self.layout, ref, self.ord))
-        return diag
-
-    def _lead_diagonal(self, t):
-        """The packed leading monomial of a term read off without expanding,
-        or None for a trivial pseudominor: a nontrivial pseudominor is, up to
-        sign, the minor of its sorted rows and columns."""
-        pm = t.pm
-        if pm.trivial:
+    def _lead(self, t):
+        """The packed leading monomial of a term, cofactor times the largest
+        monomial of its pseudominor, or None for a zero pseudominor."""
+        det = self._det(t.pm, expand_pseudominor)
+        if det is None:
             return None
-        m = self.codec.pack(t.cofactor) + self._diagonal(pm.vertex, pm.rows, pm.cols)
+        m = self.codec.pack(t.cofactor) + det[1]
         if m & self.codec.guard:
             raise Overflow
         return m
 
     def has_small_lts(self, d):
         """Whether every term of d leads below the lcm L of the leading
-        monomials of d.M and d.N, by _lead_diagonal.  Chain building decides
-        with this; verification re-derives each leading monomial from the
-        expansion."""
+        monomials of d.M and d.N.  Chain building decides with this."""
         def below():
-            M, N = d.M, d.N
-            top = self.codec.lcm(self._diagonal(M.vertex, M.rows, M.cols),
-                                 self._diagonal(N.vertex, N.rows, N.cols))
+            top = self.codec.lcm(self._det(d.M, expand_minor)[1],
+                                 self._det(d.N, expand_minor)[1])
             for t in d.row_terms + d.col_terms:
-                m = self._lead_diagonal(t)
+                m = self._lead(t)
                 if m is not None and m >= top:
                     return False
             return True
@@ -740,18 +725,13 @@ class Certifier:
 
     def _same_matrix_chain(self, F, G):
         """Refs from F to G; every adjacent pair has an accepted step."""
-        refs = self._chains.get((F, G))
-        if refs is None:
-            if F == G:
-                refs = (F,)
-            elif self._small_step(F, G) is not None:
-                refs = (F, G)
-            else:
-                layout, ord = self.layout, self.ord
-                P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
-                refs = self._same_matrix_chain(F, P)[:-1] + self._same_matrix_chain(P, G)
-            self._chains[(F, G)] = refs
-        return refs
+        if F == G:
+            return (F,)
+        if self._small_step(F, G) is not None:
+            return (F, G)
+        layout, ord = self.layout, self.ord
+        P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
+        return self._same_matrix_chain(F, P)[:-1] + self._same_matrix_chain(P, G)
 
     def build(self, M, N):
         """The chain certificate of the pair (M, N)."""
@@ -792,7 +772,7 @@ class Certifier:
         """Whether the leading monomial of every ref divides the lcm of those
         of the two end refs."""
         guard = self.codec.guard
-        lms = [self._diagonal(ref.vertex, ref.rows, ref.cols) for ref in refs]
+        lms = [self._det(ref, expand_minor)[1] for ref in refs]
         top = self.codec.lcm(lms[0], lms[-1])
         return not any((top - lm) & guard for lm in lms)
 

@@ -150,14 +150,10 @@ def parse_tensor(text):
         except ValueError:
             break
         pos += 1
-    # all remaining tokens are entries; shape tokens are the leading integers
-    # up to the expected count, so re-split on the product
+    # the entries may be integers too, so the shape is the shortest prefix
+    # of the leading integers whose product is the count of tokens after it
     if not shape:
         raise InputError("empty shape")
-    total = 1
-    for a in shape:
-        total *= a
-    # the first len(shape) numeric tokens that leave exactly `total` entries
     for n in range(1, len(shape) + 1):
         t = 1
         for a in shape[:n]:

@@ -159,6 +159,17 @@ class TestDivision:
         with pytest.raises(DomainError):
             reduce(x, basis, OrderSpec({0: 2, 1: 1, 2: 0}))
 
+    def test_prepared_basis_takes_an_equal_order(self):
+        # the basis checks the ranking by value, not the OrderSpec object
+        x, y, z = poly_var(0), poly_var(1), poly_var(2)
+        G = [poly_sub(x, y), poly_sub(poly_mul(y, y), z)]
+        f = poly_add(poly_mul(x, poly_mul(x, y)), z)
+        rank = {0: 0, 1: 1, 2: 2}
+        basis = PreparedBasis(G, OrderSpec(rank))
+        assert reduce(f, basis, OrderSpec(dict(rank))) == reduce(f, G, ORD3)
+        with pytest.raises(DomainError, match="another order"):
+            reduce(f, basis, OrderSpec({0: 1, 1: 0, 2: 2}))
+
     def test_pencil_s_pairs_match_recorded_divisions(self):
         # sha256 over every S-pair of the (3,3,2,2,2) pencil of
         # repr((i, j, sorted remainder terms, used)), recorded with the

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivergb.minors import (
-    MinorRef, PseudoMinorRef, _submatrix, det_poly_matrix, enumerate_minors,
-    expand_minor, minor_leading_term, natural_generators,
+    MinorRef, PseudoMinorRef, enumerate_minors, expand_minor,
+    minor_leading_term, natural_generators,
 )
 from quivergb.poly import (
     QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term, mono_div,
-    mono_divides, mono_from, mono_lcm, poly_var, s_polynomial,
+    mono_divides, mono_from, mono_lcm, s_polynomial,
 )
 from quivergb import spair
 from quivergb.layout import default_order
@@ -397,6 +397,16 @@ class TestRunCertifier:
         assert not run.verify(forged)
         assert run.verify(cert)
 
+    def test_inconsistent_order_refused_before_any_verdict(self, single_3x3):
+        layout, ord = single_3x3
+        cert = spair.build_chain(layout, M3, N3, ord)
+        n = layout.nvars
+        rev = OrderSpec({v: n - 1 - v for v in range(n)})
+        with pytest.raises(DomainError, match="consistent"):
+            spair.Certifier(layout, rev)
+        with pytest.raises(DomainError, match="consistent"):
+            spair.verify_chain(layout, cert, rev)
+
     def test_mutated_shared_step_fails_exactly_the_chains_using_it(self):
         layout, ord = pencil_instance(2, 2, 2, 2, 2)
         refs = [r for r, _ in natural_generators(layout)]
@@ -437,9 +447,9 @@ class TestRunCertifier:
                     == spair.render_certificate(layout, one, ord))
 
     def test_build_leading_monomials_match_the_expansion(self):
-        # build reads each term's packed leading monomial off the sorted
-        # diagonal; verify expands it; on every term either side of every
-        # step they agree
+        # build reads each term's packed leading monomial off the one packed
+        # expansion of its pseudominor; on every term either side of every
+        # step it agrees with the unpacked product's
         layout, ord = pencil_instance(3, 3, 2, 2, 2)
         refs = [r for r, _ in natural_generators(layout)]
         run = spair.Certifier(layout, ord)
@@ -450,7 +460,7 @@ class TestRunCertifier:
                  for t in d.row_terms + d.col_terms]
         assert (len(steps), len(terms)) == (2000, 7186)
         for t in terms:
-            m = run._lead_diagonal(t)
+            m = run._lead(t)
             assert ((m if m is None else run.codec.unpack(m))
                     == spair._term_leading_monomial(layout, t, ord, QQ))
 
@@ -502,7 +512,7 @@ class TestPackedVerification:
                 want = reference_step_verdict(layout, F, G, step, ord, field)
                 assert verify._verify_step(F, G, step) == want, (F, G, kind)
                 assert build._verify_step(F, G, step) == want, (F, G, kind)
-                # building reads the same leading monomials off the diagonals
+                # building reads the same leading monomials as verifying
                 assert build.has_small_lts(step) == (kind != "at-L"), (F, G, kind)
                 verdicts[kind, want] += 1
         assert verdicts["genuine", False] == verdicts["at-L", True] == 0
@@ -567,9 +577,3 @@ class TestMemos:
                 assert verify(cert)
                 h.update(spair.render_certificate(layout, cert, ord).encode() + b"\n")
             assert h.hexdigest() == digest
-        # no caller changed an expansion that the memo shares
-        for (vertex, rows, cols, char), det in layout.dets.items():
-            ref = PseudoMinorRef(vertex, rows, cols)
-            field = PrimeField(char) if char else QQ
-            grid = [[poly_var(v, field) for v in row] for row in _submatrix(layout, ref)]
-            assert det == det_poly_matrix(grid)
