@@ -11,7 +11,8 @@ from pathlib import Path
 from .poly import QQ, DomainError, InputError, Polynomial, PrimeField, render, s_polynomial
 from .layout import build_layout, default_order, parse_order_file, parse_quiver
 from .minors import (
-    ensure_consistent, expand_minor, natural_generators, parse_minor_spec, render_minor_spec,
+    ensure_consistent, expand_minor, natural_generators, natural_refs, parse_minor_spec,
+    render_minor_spec,
 )
 from .groebner import buchberger_check, initial_ideal_gens, is_squarefree
 from . import spair, tensors
@@ -73,7 +74,7 @@ def _check(layout, ord, field, args):
 
 
 def _certify(layout, ord, field, args):
-    refs = [ref for ref, _ in natural_generators(layout, field)]
+    refs = natural_refs(layout)
     if args.pairs == "all":
         wanted = [(i, j) for i in range(len(refs)) for j in range(i + 1, len(refs))]
     else:
@@ -107,9 +108,10 @@ def _spair(layout, ord, field, args):
     S = s_polynomial(pm, pn, ord)
     print("S " + render(S, ord, layout.var_name))
     if args.decompose:
-        d = spair.p_decomposition(layout, M, N, ord, field)
+        certifier = spair.Certifier(layout, ord, field)
+        d = certifier.decomposition(M, N)
         print(spair.render_decomposition(layout, d, ord))
-        small = spair.Certifier(layout, ord, field).has_small_lts(d)
+        small = certifier.has_small_lts(d)
         ok = spair.expand_decomposition(layout, d, field) == S
         print(f"identity {'true' if ok else 'false'} small-lts {'true' if small else 'false'}")
         return 0 if ok else 1

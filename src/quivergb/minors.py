@@ -144,19 +144,22 @@ def minor_points(layout, ref):
     return frozenset(layout.point_of[v] for row in _submatrix(layout, ref) for v in row)
 
 
-def natural_generators(layout, field=QQ):
-    """Deduplicated (u_gamma+1)-minors over all vertices, with polynomials."""
-    seen = {}
+def natural_refs(layout):
+    """The (u_gamma+1)-minors over all vertices, one per set of points."""
+    seen = set()
     out = []
     for gamma in sorted(layout.matrices):
-        size = layout.minor_size(gamma)
-        for ref in enumerate_minors(layout, gamma, size):
+        for ref in enumerate_minors(layout, gamma, layout.minor_size(gamma)):
             key = minor_points(layout, ref)
-            if key in seen:
-                continue
-            seen[key] = ref
-            out.append((ref, expand_minor(layout, ref, field)))
+            if key not in seen:
+                seen.add(key)
+                out.append(ref)
     return out
+
+
+def natural_generators(layout, field=QQ):
+    """natural_refs(layout), each with its polynomial."""
+    return [(ref, expand_minor(layout, ref, field)) for ref in natural_refs(layout)]
 
 
 def parse_minor_spec(text):

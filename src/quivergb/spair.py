@@ -27,10 +27,9 @@ from operator import lt
 from types import MappingProxyType
 
 from .poly import (
-    QQ, DomainError, InputError, MonomialCodec, Overflow, Polynomial, inverse,
+    QQ, DomainError, InputError, MonomialCodec, Overflow, Polynomial, leading_term,
     mono_divides, mono_from, mono_lcm, mono_mul, mono_vars, packed_s_polynomial,
-    poly_add, poly_scale, poly_sub, render_monomial, require, sorted_terms,
-    leading_term,
+    poly_add, poly_scale, poly_sub, render_monomial, require,
 )
 from .minors import (
     MinorRef, PseudoMinorRef, ensure_consistent, expand_minor,
@@ -281,48 +280,8 @@ def _coset_decomposition(an):
     return Decomposition(an.M, an.N, tuple(row_terms), tuple(col_terms))
 
 
-def _coprime_decomposition(layout, M, N, ord, field):
-    """Pairs with no shared page have coprime leading monomials; the classical
-    syzygy S = sum(tail(M))*N - sum(tail(N))*M serves as the decomposition,
-    with the generators themselves as the pseudominors."""
-    pm_m = expand_minor(layout, M, field)
-    pm_n = expand_minor(layout, N, field)
-    cm, lm_m = leading_term(pm_m, ord)
-    cn, lm_n = leading_term(pm_n, ord)
-    unit_inv = inverse(cm * cn, field.char)
-    minus_one = field.of(-1)  # 1 over GF(2), where every sign is +
-
-    def tail_terms(p, lm, other):
-        terms = []
-        for c, m in sorted_terms(p, ord):
-            if m == lm:
-                continue
-            s = field.of(c * unit_inv)
-            if s == 1:
-                sign = 1
-            elif s == minus_one:
-                sign = -1
-            else:  # pragma: no cover - minors have unit coefficients
-                raise DomainError("coprime decomposition needs unit coefficients")
-            terms.append(DecompTerm(sign, m, PseudoMinorRef(other.vertex, other.rows, other.cols)))
-        return tuple(terms)
-    return Decomposition(M, N, tail_terms(pm_m, lm_m, N), tail_terms(pm_n, lm_n, M))
-
-
 def p_decomposition(layout, M, N, ord, field=QQ):
-    if M == N:
-        return Decomposition(M, N, (), ())
-    if M.vertex == N.vertex:
-        return _coset_decomposition(analyze(layout, M, N, ord))
-    role_m = layout.roles[M.vertex]
-    role_n = layout.roles[N.vertex]
-    if role_m == "sink" and role_n == "source":
-        return _coset_decomposition(analyze(layout, M, N, ord))
-    if role_m == "source" and role_n == "sink":
-        # the machinery is oriented sink-first; mirror the swapped pair
-        rev = p_decomposition(layout, N, M, ord, field)
-        return Decomposition(M, N, rev.col_terms, rev.row_terms)
-    return _coprime_decomposition(layout, M, N, ord, field)
+    return Certifier(layout, ord, field).decomposition(M, N)
 
 
 def expand_term(layout, term, field=QQ):
@@ -696,6 +655,45 @@ class Certifier:
             raise Overflow
         return m
 
+    def decomposition(self, M, N):
+        """P(M, N): empty for M = N, the coset decomposition for a pair that
+        shares a page (sink-first, so a source/sink pair is mirrored), and
+        the coprime syzygy for any other pair."""
+        if M == N:
+            return Decomposition(M, N, (), ())
+        roles = self.layout.roles
+        if M.vertex != N.vertex:
+            if roles[M.vertex] == "source" and roles[N.vertex] == "sink":
+                return _mirror(self.decomposition(N, M))
+            if not (roles[M.vertex] == "sink" and roles[N.vertex] == "source"):
+                return self.codec.run(self._coprime_syzygy, M, N)
+        return _coset_decomposition(analyze(self.layout, M, N, self.ord))
+
+    def _coprime_syzygy(self, M, N):
+        """Pairs with no shared page have coprime leading monomials; the
+        classical syzygy S = sum(tail(M))*N - sum(tail(N))*M serves as the
+        decomposition, with the generators themselves as the pseudominors.
+        Both tails are read off the packed forms, in descending order."""
+        f, g = self._det(M, expand_minor), self._det(N, expand_minor)
+        field, unpack = self.field, self.codec.unpack
+        unit = f[2] * g[2]  # the inverses of both leading coefficients
+        minus_one = field.of(-1)  # 1 over GF(2), where every sign is +
+
+        def tail(det, other):
+            pm = PseudoMinorRef(other.vertex, other.rows, other.cols)
+            terms = []
+            for m, c in sorted(det[0], reverse=True)[1:]:
+                s = field.of(c * unit)
+                if s == 1:
+                    sign = 1
+                elif s == minus_one:
+                    sign = -1
+                else:  # pragma: no cover - minors have unit coefficients
+                    raise DomainError("coprime decomposition needs unit coefficients")
+                terms.append(DecompTerm(sign, unpack(m), pm))
+            return tuple(terms)
+        return Decomposition(M, N, tail(f, N), tail(g, M))
+
     def has_small_lts(self, d):
         """Whether every term of d leads below the lcm L of the leading
         monomials of d.M and d.N.  Chain building decides with this."""
@@ -715,10 +713,9 @@ class Certifier:
         key = (F, G)
         if key in self._steps:
             return self._steps[key]
-        layout, ord, field = self.layout, self.ord, self.field
-        d = p_decomposition(layout, F, G, ord, field)
+        d = self.decomposition(F, G)
         if not self.has_small_lts(d):
-            d2 = p_decomposition(layout, G, F, ord, field)
+            d2 = self.decomposition(G, F)
             d = _mirror(d2) if self.has_small_lts(d2) else None
         self._steps[key] = d
         return d

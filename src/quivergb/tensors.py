@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from .poly import (
     QQ, DomainError, InputError, OrderSpec, PreparedBasis, poly_neg, poly_var,
@@ -35,9 +36,7 @@ class Tensor:
         self.shape = tuple(self.shape)
         if any(a < 1 for a in self.shape):
             raise InputError("tensor axes must be positive")
-        total = 1
-        for a in self.shape:
-            total *= a
+        total = prod(self.shape)
         if len(self.values) != total:
             raise InputError(
                 f"expected {total} entries for shape {self.shape}, got {len(self.values)}")
@@ -155,10 +154,7 @@ def parse_tensor(text):
     if not shape:
         raise InputError("empty shape")
     for n in range(1, len(shape) + 1):
-        t = 1
-        for a in shape[:n]:
-            t *= a
-        if len(body) - 1 - n == t:
+        if len(body) - 1 - n == prod(shape[:n]):
             try:
                 vals = [Fraction(tok) for tok in body[1 + n:]]
             except (ValueError, ZeroDivisionError) as exc:
@@ -263,12 +259,8 @@ def _triple_bounds(m, n, r, u, v, w):
 def symbolic_tensor(shape, field=QQ):
     """Tensor of fresh variables, one per cell, in row-major id order."""
     shape = tuple(shape)
-    total = 1
-    for a in shape:
-        total *= a
-    counter = iter(range(total))
-    T = tensor_from_function(shape, lambda idx: poly_var(next(counter), field))
-    return T
+    counter = iter(range(prod(shape)))
+    return tensor_from_function(shape, lambda idx: poly_var(next(counter), field))
 
 
 def tensor_var_namer(shape):
@@ -277,10 +269,7 @@ def tensor_var_namer(shape):
 
 
 def tensor_var_order(shape):
-    total = 1
-    for a in shape:
-        total *= a
-    return OrderSpec({v: v for v in range(total)})
+    return OrderSpec({v: v for v in range(prod(shape))})
 
 
 @dataclass
@@ -352,23 +341,32 @@ class IndepStatement:
 def parse_statement(text):
     """``a_b`` marginal; ``a|rest`` saturated; ``a_b|c`` conditional;
     ``a|rest:s`` hidden with s states."""
+    def number(field):
+        if not (field.isascii() and field.isdigit()):
+            raise ValueError(f"{field!r} is not a number")
+        return int(field)
+
+    def pair(field):
+        parts = field.split("_")
+        if len(parts) != 2:
+            raise ValueError(f"{field!r} is not a pair a_b")
+        return map(number, parts)
+
     try:
         if "|" in text:
             left, right = text.split("|", 1)
             if "_" in left:
-                return IndepStatement("conditional", int(left.split("_")[0]),
-                                      int(left.split("_")[1]), int(right))
+                return IndepStatement("conditional", *pair(left), number(right))
             if ":" in right:
                 rest, s = right.split(":", 1)
                 if rest != "rest":
                     raise ValueError("expected 'rest'")
-                return IndepStatement("hidden", int(left), states=int(s))
+                return IndepStatement("hidden", number(left), states=number(s))
             if right != "rest":
                 raise ValueError("expected 'rest'")
-            return IndepStatement("saturated", int(left))
+            return IndepStatement("saturated", number(left))
         if "_" in text:
-            a, b = text.split("_", 1)
-            return IndepStatement("marginal", int(a), int(b))
+            return IndepStatement("marginal", *pair(text))
         raise ValueError("unrecognized form")
     except ValueError as exc:
         raise InputError(f"bad statement {text!r}: {exc}") from None

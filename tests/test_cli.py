@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from quivergb import minors
 from quivergb.cli import main
 
 from conftest import FOUR_VERTEX
@@ -196,6 +199,23 @@ class TestCertify:
         assert code == 2 and out == ""
         assert "a pair needs two different generators" in err
 
+    def test_each_ref_expanded_once(self, capsys, tmp_path, monkeypatch):
+        # listing the generators, the coprime syzygies and verification all
+        # read the one packed expansion per ref that the certifier keeps
+        expanded = Counter()
+        det = minors._det
+
+        def counting(layout, ref, field):
+            expanded[ref.vertex, ref.rows, ref.cols] += 1
+            return det(layout, ref, field)
+        monkeypatch.setattr(minors, "_det", counting)
+        q = tmp_path / "four.q"
+        q.write_text(FOUR_VERTEX)
+        code, out, _ = run(capsys, "certify", "--quiver", str(q))
+        assert code == 0 and out.endswith("certified: 5778/5778\n")
+        assert len(expanded) >= 108
+        assert max(expanded.values()) == 1
+
 
 class TestInitIdeal:
     def test_squarefree(self, capsys, quiver_file):
@@ -275,6 +295,16 @@ class TestIndep:
         code, _, err = run(capsys, "indep", "--shape", "2,2",
                            "--statements", "zzz")
         assert code == 2
+
+    @pytest.mark.parametrize("statement", ["1_2_3|4", "1|rest:1_0", "1_2|3_1"],
+                             ids=["extra-part", "underscore-in-states", "underscore-in-axis"])
+    def test_malformed_statement_is_refused(self, capsys, statement):
+        # int() reads "1_0" as 10, and a split that keeps two pieces drops a third
+        code, out, err = run(capsys, "indep", "--shape", "2,2,2,2",
+                             "--statements", statement)
+        assert code == 2
+        assert out == ""
+        assert "bad statement" in err
 
 
 class TestArgErrors:

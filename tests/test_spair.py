@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivergb.minors import (
     MinorRef, PseudoMinorRef, enumerate_minors, expand_minor,
-    minor_leading_term, natural_generators,
+    minor_leading_term, natural_generators, natural_refs,
 )
 from quivergb.poly import (
     QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term, mono_div,
@@ -552,18 +552,22 @@ class TestMemos:
         expected = None if p.is_zero() else leading_term(p, ord)[1]
         assert spair._term_leading_monomial(MEMO_LAYOUT, term, ord, field) == expected
 
-    @pytest.mark.parametrize("shape, field, pairs, digest", [
-        ((3, 3, 2, 2, 2), QQ, 2556,
+    @pytest.mark.parametrize("instance, field, pairs, digest", [
+        (lambda: pencil_instance(3, 3, 2, 2, 2), QQ, 2556,
          "679f2c2e8f1cf18d71ddcf4fbdee650587b5b1e564702d71a684be28ad00a1e4"),
-        ((2, 2, 2, 2, 2), PrimeField(7), 45,
+        (lambda: pencil_instance(2, 2, 2, 2, 2), PrimeField(7), 45,
          "b912c36fe8ebc683d846104c15d7dab152e02363bd3ec68b186b26dc4e63fdb6"),
-    ], ids=["pencil-3x3-QQ", "pencil-2x2-GF7"])
-    def test_all_pair_certificates_match_recorded(self, shape, field, pairs, digest):
+        # the only instance with coprime pairs, whose syzygies these cover
+        (lambda: make_instance(FOUR_VERTEX), QQ, 5778,
+         "32b044112d2a9857b571af98c352e8e6de9820647512368880d4094bcea3c3ac"),
+        (lambda: make_instance(FOUR_VERTEX), PrimeField(2), 5778,
+         "86f5e3631cf78b1326aff49108d6aec49e9a09a68721b736a16261d50620ae27"),
+    ], ids=["pencil-3x3-QQ", "pencil-2x2-GF7", "four-vertex-QQ", "four-vertex-GF2"])
+    def test_all_pair_certificates_match_recorded(self, instance, field, pairs, digest):
         # sha256 over render_certificate of every pair, recorded while every
         # determinant was still expanded afresh
-        layout, _ = double_det_generators(*shape)
-        ord = default_order(layout)
-        refs = [r for r, _ in natural_generators(layout, field)]
+        layout, ord = instance()
+        refs = natural_refs(layout)
         wanted = list(combinations(refs, 2))
         assert len(wanted) == pairs
         # one pair at a time, and every pair through one run-level certifier
