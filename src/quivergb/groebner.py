@@ -3,7 +3,7 @@ and a textbook completion oracle for cross-validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .poly import (
     DomainError, PreparedBasis, inverse, leading_term, mono_divides,
@@ -11,13 +11,11 @@ from .poly import (
 )
 
 
-@dataclass
-class CheckReport:
-    total_pairs: int = 0
-    skipped_coprime: int = 0
-    reduced_to_zero: int = 0
-    failures: list = field(default_factory=list)  # (i, j, remainder)
-    complete: bool = True  # False when fail-fast stopped early
+class CheckReport(namedtuple("CheckReport", "total_pairs skipped_coprime reduced_to_zero "
+                                            "failures complete")):
+    """failures holds (i, j, remainder) triples; complete is False when
+    fail-fast stopped early."""
+    __slots__ = ()
 
     @property
     def is_groebner(self):
@@ -42,21 +40,22 @@ def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
     basis = prepared(G, ord)
     lvars = basis.lvars
     n = len(lvars)
-    report = CheckReport(total_pairs=n * (n - 1) // 2)
+    total = n * (n - 1) // 2
+    skipped = zero = 0
+    failures = []
     for i in range(n):
         for j in range(i + 1, n):
             if coprime_skip and lvars[i].isdisjoint(lvars[j]):
-                report.skipped_coprime += 1
+                skipped += 1
                 continue
             rem = basis.s_pair_remainder(i, j)
             if rem.is_zero():
-                report.reduced_to_zero += 1
+                zero += 1
             else:
-                report.failures.append((i, j, rem))
+                failures.append((i, j, rem))
                 if fail_fast:
-                    report.complete = False
-                    return report
-    return report
+                    return CheckReport(total, skipped, zero, failures, False)
+    return CheckReport(total, skipped, zero, failures, True)
 
 
 def initial_ideal_gens(G, ord):

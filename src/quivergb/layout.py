@@ -9,18 +9,13 @@ pages, pages ordered by arrow index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .poly import InputError, OrderSpec
 
-
-@dataclass(frozen=True)
-class QuiverSpec:
-    d: int
-    arrows: tuple  # ordered (source, target) pairs, 1-based
-    m: tuple       # dimension vector, length d
-    u: tuple       # rank bounds u_gamma, length d
-    order_file: str | None = None
+# arrows: ordered (source, target) pairs, 1-based; m: dimension vector and
+# u: rank bounds u_gamma, both of length d; order_file: a path or None
+QuiverSpec = namedtuple("QuiverSpec", "d arrows m u order_file", defaults=(None,))
 
 
 def parse_quiver(text):
@@ -87,7 +82,6 @@ def render_quiver(spec):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class Layout:
     """The variable lattice of a quiver and the vertex matrices over it.
 
@@ -95,15 +89,18 @@ class Layout:
     monomial of each minor asked for, a pure function of the ref that every
     leading-term query reads.  Determinants are not memoised; each call of
     minors.expand_minor expands afresh."""
-    spec: QuiverSpec
-    pages: list          # per arrow (0-based): (nrows, ncols)
-    var_of: dict         # (i, j, k) 1-based lattice point -> VarId
-    point_of: list       # VarId -> (i, j, k)
-    matrices: dict       # vertex -> list of rows of VarIds (may be absent)
-    roles: dict          # vertex -> "sink" | "source"
-    pos_in_matrix: dict = field(default_factory=dict)  # (vertex, VarId) -> (p, q)
-    # (vertex, rows, cols) -> diagonal monomial; keys hold values only
-    diagonals: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __init__(self, spec, pages, var_of, point_of, matrices, roles):
+        self.spec = spec
+        self.pages = pages          # per arrow (0-based): (nrows, ncols)
+        self.var_of = var_of        # (i, j, k) 1-based lattice point -> VarId
+        self.point_of = point_of    # VarId -> (i, j, k)
+        self.matrices = matrices    # vertex -> list of rows of VarIds (may be absent)
+        self.roles = roles          # vertex -> "sink" | "source"
+        self.pos_in_matrix = {}     # (vertex, VarId) -> (p, q)
+        # ref -> diagonal monomial; refs compare by value, so a MinorRef and
+        # a PseudoMinorRef over the same cells share one entry
+        self.diagonals = {}
 
     @property
     def nvars(self):

@@ -3,7 +3,7 @@ generator set of the bipartite determinantal ideal."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .poly import (
@@ -13,32 +13,30 @@ from .poly import (
 from .layout import validate_consistent
 
 
-@dataclass(frozen=True, slots=True)
-class MinorRef:
-    vertex: int
-    rows: tuple  # strictly increasing, 1-based
-    cols: tuple
+class MinorRef(namedtuple("MinorRef", "vertex rows cols")):
+    """rows and cols strictly increasing, 1-based."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.cols) or not self.rows:
+    def __new__(cls, vertex, rows, cols):
+        if len(rows) != len(cols) or not rows:
             raise InputError("minor needs equally many rows and columns, at least one")
-        if list(self.rows) != sorted(set(self.rows)) or list(self.cols) != sorted(set(self.cols)):
+        if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
             raise InputError("minor rows and columns must be strictly increasing")
+        return tuple.__new__(cls, (vertex, rows, cols))
 
     @property
     def size(self):
         return len(self.rows)
 
 
-@dataclass(frozen=True, slots=True)
-class PseudoMinorRef:
-    vertex: int
-    rows: tuple  # arbitrary sequences, repeats allowed
-    cols: tuple
+class PseudoMinorRef(namedtuple("PseudoMinorRef", "vertex rows cols")):
+    """rows and cols arbitrary sequences, repeats allowed."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.cols):
+    def __new__(cls, vertex, rows, cols):
+        if len(rows) != len(cols):
             raise InputError("pseudominor needs equally many rows and columns")
+        return tuple.__new__(cls, (vertex, rows, cols))
 
     @property
     def trivial(self):
@@ -131,11 +129,10 @@ def minor_leading_term(layout, ref, ord):
     coefficient 1, and is the same for every consistent order, so the memo
     ``layout.diagonals`` keys on the ref alone."""
     ensure_consistent(layout, ord)
-    key = (ref.vertex, ref.rows, ref.cols)
-    mono = layout.diagonals.get(key)
+    mono = layout.diagonals.get(ref)
     if mono is None:
         grid = _submatrix(layout, ref)
-        mono = layout.diagonals[key] = mono_from((grid[i][i], 1) for i in range(len(grid)))
+        mono = layout.diagonals[ref] = mono_from((grid[i][i], 1) for i in range(len(grid)))
     return mono
 
 

@@ -19,7 +19,7 @@ incidence class per page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, permutations
 from math import factorial
@@ -40,21 +40,14 @@ from .minors import (
 # ---------------------------------------------------------------------------
 # analysis
 
-@dataclass
-class SPairAnalysis:
-    layout: object
-    ord: object
-    M: MinorRef
-    N: MinorRef
-    mode: str            # "matrix" (same vertex) | "pages" (cross vertex)
-    L: tuple             # the lcm monomial
-    points: tuple        # lattice points, strictly decreasing variables
-    alpha: tuple         # 1-based coordinate arrays; entry 0 unused
-    beta: tuple
-    page: tuple
-    S_M: frozenset       # 1-based indices into points
-    S_N: frozenset
-    incidence_classes: tuple  # sorted index tuples
+class SPairAnalysis(namedtuple("SPairAnalysis", "layout ord M N mode L points alpha beta "
+                                                "page S_M S_N incidence_classes")):
+    """mode is "matrix" (same vertex) or "pages" (cross vertex); L is the lcm
+    monomial; points are lattice points, strictly decreasing variables;
+    alpha, beta and page are 1-based coordinate arrays, entry 0 unused; S_M
+    and S_N are 1-based index sets into points; incidence_classes are sorted
+    index tuples."""
+    __slots__ = ()
 
     @property
     def l(self):
@@ -191,19 +184,10 @@ def L_of(an, sigma, tau):
 # ---------------------------------------------------------------------------
 # pseudominor decompositions
 
-@dataclass(frozen=True, slots=True)
-class DecompTerm:
-    sign: int
-    cofactor: tuple      # monomial
-    pm: PseudoMinorRef
-
-
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    M: MinorRef
-    N: MinorRef
-    row_terms: tuple
-    col_terms: tuple
+# cofactor is a monomial, pm a PseudoMinorRef
+DecompTerm = namedtuple("DecompTerm", "sign cofactor pm")
+# row_terms and col_terms are tuples of DecompTerm
+Decomposition = namedtuple("Decomposition", "M N row_terms col_terms")
 
 
 def _orientation_ok(an):
@@ -313,12 +297,7 @@ def _term_leading_monomial(layout, t, ord, field):
 # ---------------------------------------------------------------------------
 # violations and defects
 
-@dataclass(frozen=True)
-class Violation:
-    i: int
-    j: int
-    k: int
-    strict: bool
+Violation = namedtuple("Violation", "i j k strict")
 
 
 def _violates(an, i, j, k):
@@ -353,15 +332,7 @@ def violations_of(an):
     return out
 
 
-@dataclass(frozen=True)
-class Defect:
-    kind: str            # "I" | "II"
-    j: int
-    k: int
-    r: int
-    s: int
-    t: int
-    maximal: bool
+Defect = namedtuple("Defect", "kind j k r s t maximal")  # kind "I" | "II"
 
 
 def _defect_chain_ok(an, j, k, r, s, t):
@@ -560,10 +531,8 @@ def cross_transplant(layout, M, N, viol, ord):
 # ---------------------------------------------------------------------------
 # chains
 
-@dataclass
-class ChainCertificate:
-    refs: list
-    steps: list  # Decomposition per consecutive pair
+# refs: a list of MinorRef; steps: a list of Decomposition, one per consecutive pair
+ChainCertificate = namedtuple("ChainCertificate", "refs steps")
 
 
 def _mirror(d):
@@ -632,16 +601,17 @@ class Certifier:
         self.codec = MonomialCodec(ord)
         self._steps = {}      # (F, G) -> accepted Decomposition, or None
         self._verified = {}   # (F, G) -> the Decomposition verified for it
-        self._dets = self.codec.cache()  # (vertex, rows, cols) -> packed form, or None for 0
+        # ref -> packed form, or None for 0; refs compare by value, so a
+        # MinorRef and a PseudoMinorRef over the same cells share one entry
+        self._dets = self.codec.cache()
 
     def _det(self, ref, expand):
         """expand(layout, ref, field) in its packed form, or None when it is 0."""
-        key = (ref.vertex, ref.rows, ref.cols)
         try:
-            return self._dets[key]
+            return self._dets[ref]
         except KeyError:
             poly = expand(self.layout, ref, self.field)
-            det = self._dets[key] = self.codec.packed(poly) if poly.terms else None
+            det = self._dets[ref] = self.codec.packed(poly) if poly.terms else None
             return det
 
     def _lead(self, t):

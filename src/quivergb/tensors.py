@@ -5,7 +5,7 @@ independence ideals of statistical models."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -22,24 +22,21 @@ from .groebner import buchberger_check, ideal_membership
 # ---------------------------------------------------------------------------
 # tensors
 
-@dataclass
-class Tensor:
+class Tensor(namedtuple("Tensor", "shape values")):
     """Dense tensor; values in row-major order, last index fastest.
 
     Entries can be any ring elements supporting + (rationals by default,
     polynomials for symbolic tensors)."""
+    __slots__ = ()
 
-    shape: tuple
-    values: list
-
-    def __post_init__(self):
-        self.shape = tuple(self.shape)
-        if any(a < 1 for a in self.shape):
+    def __new__(cls, shape, values):
+        shape = tuple(shape)
+        if any(a < 1 for a in shape):
             raise InputError("tensor axes must be positive")
-        total = prod(self.shape)
-        if len(self.values) != total:
-            raise InputError(
-                f"expected {total} entries for shape {self.shape}, got {len(self.values)}")
+        total = prod(shape)
+        if len(values) != total:
+            raise InputError(f"expected {total} entries for shape {shape}, got {len(values)}")
+        return tuple.__new__(cls, (shape, values))
 
     @property
     def arity(self):
@@ -272,11 +269,7 @@ def tensor_var_order(shape):
     return OrderSpec({v: v for v in range(prod(shape))})
 
 
-@dataclass
-class TripleEqResult:
-    predicted: bool
-    verified: bool
-    evidence: dict
+TripleEqResult = namedtuple("TripleEqResult", "predicted verified evidence")
 
 
 def triple_eq_check(m, n, r, u, v, w, field=QQ):
@@ -318,13 +311,11 @@ def triple_eq_check(m, n, r, u, v, w, field=QQ):
 # ---------------------------------------------------------------------------
 # independence ideals
 
-@dataclass(frozen=True)
-class IndepStatement:
-    kind: str        # marginal | saturated | conditional | hidden
-    a: int
-    b: int = 0       # marginal, conditional
-    c: int = 0       # conditional: the observed axis
-    states: int = 0  # hidden: state count of the hidden variable
+class IndepStatement(namedtuple("IndepStatement", "kind a b c states", defaults=(0, 0, 0))):
+    """kind is marginal, saturated, conditional or hidden; axis b is used by
+    marginal and conditional, the observed axis c by conditional, and the
+    state count of the hidden variable by hidden."""
+    __slots__ = ()
 
     def validate(self, arity):
         axes = {"marginal": (self.a, self.b), "conditional": (self.a, self.b, self.c),

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import quivergb
 from quivergb import minors
 from quivergb.cli import main
 
@@ -336,3 +341,16 @@ class TestBadFiles:
             argv = ("tensor", "flatten", "--data", str(bad), "--axis", "1")
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"cannot read {what} file" in err
+
+
+def test_startup_imports_no_dataclass_machinery():
+    # the spans of the benchmark wrap functions in spair and tensors, so
+    # importing the CLI must load them; it must not load dataclasses or inspect
+    probe = ("import sys, quivergb.cli; "
+             "print(*(m in sys.modules for m in "
+             "('dataclasses', 'inspect', 'quivergb.spair', 'quivergb.tensors')))")
+    # -S keeps whatever site-packages load at start-up out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(quivergb.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["False", "False", "True", "True"]

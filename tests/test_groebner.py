@@ -78,6 +78,11 @@ class TestCheck:
              poly_sub(poly_mul(y, w), z)]
         report = buchberger_check(G, ord, fail_fast=True)
         assert not report.complete and len(report.failures) == 1
+        assert report.total_pairs == 3
+        full = buchberger_check(G, ord)
+        assert full.complete and len(full.failures) == 2
+        with pytest.raises(AttributeError):
+            report.complete = True
 
 
 class TestInitialIdeal:

@@ -43,6 +43,24 @@ class TestRefs:
         with pytest.raises(InputError):
             MinorRef(1, (1, 2), (1,))
 
+    def test_pseudominor_validation(self):
+        with pytest.raises(InputError):
+            PseudoMinorRef(1, (1, 1), (1,))
+
+    def test_refs_are_immutable_values(self):
+        for cls in (MinorRef, PseudoMinorRef):
+            ref = cls(2, (1, 3), (2, 4))
+            assert hash(ref) == hash((2, (1, 3), (2, 4)))
+            assert ref == cls(2, (1, 3), (2, 4))
+            with pytest.raises(AttributeError):
+                ref.rows = (1, 2)
+
+    def test_pseudominor_shares_the_diagonal_memo(self):
+        layout, ord = make_instance(DOUBLE_2X2)
+        mono = minor_leading_term(layout, MinorRef(2, (1, 2), (1, 2)), ord)
+        assert minor_leading_term(layout, PseudoMinorRef(2, (1, 2), (1, 2)), ord) is mono
+        assert len(layout.diagonals) == 1
+
     def test_pseudominor_trivial(self):
         assert PseudoMinorRef(1, (1, 1), (1, 2)).trivial
         assert not PseudoMinorRef(1, (2, 1), (1, 2)).trivial

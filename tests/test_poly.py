@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 from fractions import Fraction
@@ -377,10 +376,10 @@ class TestPackedDivision:
         def with_pair(cofactor, pm):
             """d and a cancelling pair of terms, so it still expands to S(M, N)."""
             pair = tuple(spair.DecompTerm(s, m(*cofactor), pm) for s in (1, -1))
-            return dataclasses.replace(d, row_terms=d.row_terms + pair)
+            return d._replace(row_terms=d.row_terms + pair)
 
-        forged = dataclasses.replace(d, row_terms=tuple(
-            dataclasses.replace(t, cofactor=m((y, 200))) for t in d.row_terms))
+        forged = d._replace(row_terms=tuple(
+            t._replace(cofactor=m((y, 200))) for t in d.row_terms))
         steps = [
             (with_pair([(y, 200)], below), True),  # packs at 16 bits
             (with_pair([(x12, 1), (y, 200)], at_m), False),  # leads above L

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from collections import Counter
 from itertools import combinations, product
@@ -130,6 +129,25 @@ class TestDecomposition:
         for (A, pa), (B, pb) in list(combinations(gens, 2))[:300]:
             d = spair.p_decomposition(layout, A, B, ord)
             assert spair.expand_decomposition(layout, d) == s_polynomial(pa, pb, ord)
+
+    def test_records_are_immutable_values(self, single_3x3):
+        layout, ord = single_3x3
+        d = spair.p_decomposition(layout, M3, N3, ord)
+        assert d == spair.p_decomposition(layout, M3, N3, ord)
+        assert hash(d) == hash((M3, N3, d.row_terms, d.col_terms))
+        t = d.row_terms[0]
+        assert hash(t) == hash((t.sign, t.cofactor, t.pm))
+        for record, field in ((d, "row_terms"), (t, "sign"), (t.pm, "rows")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+    def test_pseudominor_shares_the_packed_determinant(self, single_3x3):
+        layout, ord = single_3x3
+        run = spair.Certifier(layout, ord)
+        det = run._det(M3, expand_minor)
+        assert run._det(PseudoMinorRef(M3.vertex, M3.rows, M3.cols),
+                        spair.expand_pseudominor) is det
+        assert len(run._dets) == 1
 
     def test_small_lts_orientation(self, single_3x3):
         layout, ord = single_3x3
@@ -419,8 +437,7 @@ class TestRunCertifier:
                      key=uses.__getitem__)
         d = decomposition[shared]
         first = d.row_terms[0]
-        flipped = dataclasses.replace(
-            d, row_terms=(dataclasses.replace(first, sign=-first.sign),) + d.row_terms[1:])
+        flipped = d._replace(row_terms=(first._replace(sign=-first.sign),) + d.row_terms[1:])
         mutated = [spair.ChainCertificate(cert.refs, [flipped if s == shared else step
                                                       for s, step in zip(steps_of(cert), cert.steps)])
                    for cert in certs]
@@ -476,17 +493,15 @@ def step_mutants(layout, F, G, d, ord):
         side = "row_terms" if d.row_terms else "col_terms"
         t = getattr(d, side)[0]
         rest = getattr(d, side)[1:]
-        out["sign"] = dataclasses.replace(
-            d, **{side: (dataclasses.replace(t, sign=-t.sign),) + rest})
+        out["sign"] = d._replace(**{side: (t._replace(sign=-t.sign),) + rest})
         rows = t.pm.rows
-        swapped = dataclasses.replace(t.pm, rows=(rows[1], rows[0]) + rows[2:])
-        out["rows"] = dataclasses.replace(
-            d, **{side: (dataclasses.replace(t, pm=swapped),) + rest})
+        swapped = t.pm._replace(rows=(rows[1], rows[0]) + rows[2:])
+        out["rows"] = d._replace(**{side: (t._replace(pm=swapped),) + rest})
     lm_f = minor_leading_term(layout, F, ord)
     cofactor = mono_div(mono_lcm(lm_f, minor_leading_term(layout, G, ord)), lm_f)
     pair = tuple(spair.DecompTerm(s, cofactor, PseudoMinorRef(F.vertex, F.rows, F.cols))
                  for s in (1, -1))
-    out["at-L"] = dataclasses.replace(d, row_terms=d.row_terms + pair)
+    out["at-L"] = d._replace(row_terms=d.row_terms + pair)
     return out
 
 

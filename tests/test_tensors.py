@@ -23,6 +23,17 @@ class TestTensorBasics:
             T.Tensor((2, 2), [F(0)] * 3)
         with pytest.raises(InputError):
             T.Tensor((0,), [])
+        with pytest.raises(InputError):
+            T.Tensor((2, 0), [])
+
+    def test_records_are_immutable(self):
+        X = T.Tensor([2, 1], [F(1), F(2)])
+        assert X.shape == (2, 1) and X == T.Tensor((2, 1), [F(1), F(2)])
+        st = T.IndepStatement("hidden", 1, states=3)
+        assert hash(st) == hash(("hidden", 1, 0, 0, 3))
+        for record, field in ((X, "shape"), (st, "states")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
 
     def test_indexing_row_major(self):
         X = T.Tensor((2, 3), [F(v) for v in range(6)])
