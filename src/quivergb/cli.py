@@ -278,10 +278,7 @@ def main(argv=None):
         if args.verb == "triple-eq":
             return _triple_eq(args)
         return _indep(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

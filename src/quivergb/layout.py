@@ -24,6 +24,7 @@ def parse_quiver(text):
     arrows = []
     m = u = None
     order_file = None
+    seen = set()  # keywords other than arrow, which appear once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -31,9 +32,11 @@ def parse_quiver(text):
         parts = line.split()
         kw = parts[0]
         try:
+            if kw != "arrow":
+                if kw in seen:
+                    raise InputError(f"duplicate {kw} line")
+                seen.add(kw)
             if kw == "vertices":
-                if d is not None:
-                    raise InputError("duplicate vertices line")
                 d = int(parts[1])
                 if d < 1:
                     raise InputError("vertex count must be positive")
@@ -52,10 +55,10 @@ def parse_quiver(text):
                 order_file = parts[1]
             else:
                 raise InputError(f"unknown keyword {kw!r}")
+        except InputError as exc:  # before ValueError, its base class
+            raise InputError(f"line {lineno}: {exc}") from None
         except (IndexError, ValueError) as exc:
             raise InputError(f"line {lineno}: malformed: {raw.strip()!r}") from exc
-        except InputError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
     if d is None:
         raise InputError("missing vertices line")
     if m is None or len(m) != d:

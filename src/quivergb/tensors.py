@@ -11,8 +11,7 @@ from itertools import combinations, product
 from math import prod
 
 from .poly import (
-    QQ, DomainError, InputError, OrderSpec, PreparedBasis, poly_neg, poly_var,
-    require,
+    QQ, InputError, OrderSpec, PreparedBasis, poly_neg, poly_var, require,
 )
 from .layout import QuiverSpec, build_layout, default_order
 from .minors import det_poly_matrix, natural_generators
@@ -56,10 +55,19 @@ class Tensor(namedtuple("Tensor", "shape values")):
         return self.values[self.offset(idx)]
 
 
+def _indices(shape):
+    """Every index tuple of a shape, in row-major order."""
+    return product(*(range(1, a + 1) for a in shape))
+
+
+def _cells(X):
+    """(index, entry) for every cell of X, in row-major order."""
+    return zip(_indices(X.shape), X.values)
+
+
 def tensor_from_function(shape, fn):
     shape = tuple(shape)
-    vals = [fn(idx) for idx in product(*(range(1, a + 1) for a in shape))]
-    return Tensor(shape, vals)
+    return Tensor(shape, [fn(idx) for idx in _indices(shape)])
 
 
 def _check_axes(X, axes):
@@ -69,67 +77,38 @@ def _check_axes(X, axes):
 
 
 def contraction(X, J):
-    """Sum out the axes in J."""
-    J = sorted(set(J))
+    """Sum out the axes in J; summing out every axis gives a scalar."""
+    J = set(J)
     _check_axes(X, J)
-    keep = [j for j in range(1, X.arity + 1) if j not in J]
-    shape = tuple(X.shape[j - 1] for j in keep)
-
-    def entry(idx):
-        total = None
-        for extra in product(*(range(1, X.shape[j - 1] + 1) for j in J)):
-            full = [0] * X.arity
-            for pos, j in enumerate(keep):
-                full[j - 1] = idx[pos]
-            for pos, j in enumerate(J):
-                full[j - 1] = extra[pos]
-            v = X[tuple(full)]
-            total = v if total is None else total + v
-        return total
-
+    keep = [pos for pos in range(X.arity) if pos + 1 not in J]
+    # a kept index is first met with every summed index at 1, so the sums
+    # fill in the row-major order of the kept axes
+    sums = {}
+    for idx, v in _cells(X):
+        key = tuple(idx[pos] for pos in keep)
+        sums[key] = sums[key] + v if key in sums else v
     if not keep:
-        # scalar: represent as a 1-entry arity-1 tensor is awkward; return value
-        return entry(())
-    return tensor_from_function(shape, entry)
+        return sums[()]
+    return Tensor(tuple(X.shape[pos] for pos in keep), list(sums.values()))
 
 
 def scan(X, j):
     """The a_j slices obtained by fixing axis j, in index order."""
     _check_axes(X, [j])
-    shape = tuple(a for pos, a in enumerate(X.shape, start=1) if pos != j)
-    out = []
-    for fixed in range(1, X.shape[j - 1] + 1):
-        def entry(idx, fixed=fixed):
-            full = list(idx)
-            full.insert(j - 1, fixed)
-            return X[tuple(full)]
-        out.append(tensor_from_function(shape, entry))
-    return out
-
-
-def _flatten_columns(X, j):
-    """Remaining index tuples, later axes more significant."""
-    rest = [pos for pos in range(1, X.arity + 1) if pos != j]
-    cols = list(product(*(range(1, X.shape[pos - 1] + 1) for pos in rest)))
-    cols.sort(key=lambda t: tuple(reversed(t)))
-    return rest, cols
+    slices = [[] for _ in range(X.shape[j - 1])]
+    for idx, v in _cells(X):
+        slices[idx[j - 1] - 1].append(v)
+    return [Tensor(X.shape[:j - 1] + X.shape[j:], vals) for vals in slices]
 
 
 def flatten(X, j):
-    """Matrix with a_j rows; columns run over the remaining indices."""
+    """Matrix with a_j rows; columns run over the remaining indices, later
+    axes more significant."""
     _check_axes(X, [j])
-    rest, cols = _flatten_columns(X, j)
-    out = []
-    for i in range(1, X.shape[j - 1] + 1):
-        row = []
-        for col in cols:
-            full = [0] * X.arity
-            full[j - 1] = i
-            for pos, val in zip(rest, col):
-                full[pos - 1] = val
-            row.append(X[tuple(full)])
-        out.append(row)
-    return out
+    rows = [[] for _ in range(X.shape[j - 1])]
+    for idx, v in sorted(_cells(X), key=lambda cell: cell[0][::-1]):
+        rows[idx[j - 1] - 1].append(v)
+    return rows
 
 
 def parse_tensor(text):
@@ -256,12 +235,11 @@ def _triple_bounds(m, n, r, u, v, w):
 def symbolic_tensor(shape, field=QQ):
     """Tensor of fresh variables, one per cell, in row-major id order."""
     shape = tuple(shape)
-    counter = iter(range(prod(shape)))
-    return tensor_from_function(shape, lambda idx: poly_var(next(counter), field))
+    return Tensor(shape, [poly_var(v, field) for v in range(prod(shape))])
 
 
 def tensor_var_namer(shape):
-    idx_of = list(product(*(range(1, a + 1) for a in shape)))
+    idx_of = list(_indices(shape))
     return lambda v: "p[" + ",".join(map(str, idx_of[v])) + "]"
 
 
@@ -289,11 +267,8 @@ def triple_eq_check(m, n, r, u, v, w, field=QQ):
         report = buchberger_check(basis, ord)
         if not report.is_groebner:  # pragma: no cover - theorem
             return TripleEqResult(True, False, {"reason": "basis check failed"})
-        grid = [[poly_var(layout.var_of[(i, j, k)], field)
-                 for j in range(1, n + 1) for i in range(1, m + 1)]
-                for k in range(1, r + 1)]
-        # columns of the third flattening: (i, j) with j more significant
-        extra = _poly_minors(grid, w)
+        X = tensor_from_function((m, n, r), lambda idx: poly_var(layout.var_of[idx], field))
+        extra = _poly_minors(flatten(X, 3), w)
         reduced = 0
         for g in extra:
             if not ideal_membership(g, basis, ord, report):
@@ -302,8 +277,7 @@ def triple_eq_check(m, n, r, u, v, w, field=QQ):
             reduced += 1
         return TripleEqResult(True, True, {"reduced": reduced, "total": len(extra)})
     T = witness_tensor(m, n, r, u, v, w)
-    ranks = (matrix_rank(flatten(T, 1)), matrix_rank(flatten(T, 2)),
-             matrix_rank(flatten(T, 3)))
+    ranks = tuple(matrix_rank(flatten(T, j)) for j in (1, 2, 3))
     ok = ranks[0] <= u - 1 and ranks[1] <= v - 1 and ranks[2] > w - 1
     return TripleEqResult(False, ok, {"witness": T, "ranks": ranks})
 
@@ -373,43 +347,28 @@ def render_statement(st):
     return f"{st.a}|rest:{st.states}"
 
 
-def _as_matrix(T):
-    if T.arity != 2:
-        raise DomainError("expected an arity-2 tensor")
-    return [[T[(i, j)] for j in range(1, T.shape[1] + 1)]
-            for i in range(1, T.shape[0] + 1)]
-
-
 def independence_ideal(shape, statements, field=QQ):
-    """Generators (2-minors, or (s+1)-minors for hidden variables) of the
-    ideal expressing the given independence statements on a joint table."""
+    """Generators of the ideal expressing the given independence statements
+    on a joint table.  Each statement bounds the rank of a flattening:
+    a_b asks for the 2-minors of the (a, b) marginal with rows indexed by a,
+    and a_b|c for those of the same marginal within each slice of axis c;
+    a|rest asks for the 2-minors, and a|rest:s for the (s+1)-minors, of the
+    table flattened along axis a."""
     shape = tuple(shape)
     sym = symbolic_tensor(shape, field)
     found = []
     for st in statements:
         st.validate(len(shape))
-        if st.kind == "marginal":
-            rest = [x for x in range(1, len(shape) + 1) if x not in (st.a, st.b)]
-            M2 = contraction(sym, rest) if rest else sym
-            grid = _as_matrix(M2)
-            if st.a > st.b:
-                grid = _transpose(grid)
-            found += _poly_minors(grid, 2)
-        elif st.kind == "saturated":
-            found += _poly_minors(flatten(sym, st.a), 2)
-        elif st.kind == "conditional":
-            for piece in scan(sym, st.c):
-                rest_axes = [x for x in range(1, len(shape) + 1) if x != st.c]
-                a_pos = rest_axes.index(st.a) + 1
-                b_pos = rest_axes.index(st.b) + 1
-                drop = [x for x in range(1, piece.arity + 1) if x not in (a_pos, b_pos)]
-                slab = contraction(piece, drop) if drop else piece
-                grid = _as_matrix(slab)
-                if a_pos > b_pos:
-                    grid = _transpose(grid)
-                found += _poly_minors(grid, 2)
-        else:  # hidden
-            found += _poly_minors(flatten(sym, st.a), st.states + 1)
+        if st.kind in ("marginal", "conditional"):
+            # a marginal statement is the conditional one over no axis (c = 0)
+            axes = [x for x in range(1, len(shape) + 1) if x != st.c]
+            drop = [pos for pos, x in enumerate(axes, start=1) if x not in (st.a, st.b)]
+            for piece in scan(sym, st.c) if st.c else [sym]:
+                marginal = contraction(piece, drop)
+                found += _poly_minors(flatten(marginal, 1 if st.a < st.b else 2), 2)
+        else:
+            rank = st.states if st.kind == "hidden" else 1
+            found += _poly_minors(flatten(sym, st.a), rank + 1)
     return _unique_up_to_sign(found)
 
 
@@ -427,7 +386,3 @@ def _unique_up_to_sign(polys):
         seen.add(key)
         out.append(g)
     return out
-
-
-def _transpose(M):
-    return [list(col) for col in zip(*M)]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -73,6 +74,13 @@ class TestGens:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write output file: ") and "Traceback" not in err
         assert not dest.parent.exists()
+
+    def test_duplicate_m_line_refused(self, capsys, tmp_path):
+        q = tmp_path / "twice.q"
+        q.write_text("vertices 2\narrow 1 2\nm 2 2\nm 3 3\nrank 1 1\n")
+        code, out, err = run(capsys, "gens", "--quiver", str(q))
+        assert code == 2 and out == ""
+        assert "line 4: duplicate m line" in err
 
 
 class TestCheck:
@@ -295,6 +303,16 @@ class TestIndep:
                            "--statements", "1_2", "--field", "7")
         assert code == 0
         assert out == "+p[1,1]*p[2,2]+6*p[1,2]*p[2,1]\ngenerators 1\n"
+
+    def test_transposed_marginal_and_conditional_golden(self, capsys):
+        # a > b in a marginal, and a conditional whose a lies after b, read
+        # their 2-minors off the transposed marginal matrix
+        code, out, _ = run(capsys, "indep", "--shape", "2,3,2",
+                           "--statements", "2_1,3_1|2,2_3|1")
+        assert code == 0
+        assert out.splitlines()[-1] == "generators 12"
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "f2a4c7be0f502b07c87651c051148711efba2f4ade23eb9d96d933b2adb85b5a"
 
     def test_bad_statement(self, capsys):
         code, _, err = run(capsys, "indep", "--shape", "2,2",

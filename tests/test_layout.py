@@ -28,8 +28,15 @@ class TestParsing:
             parse_quiver("vertices 2\narrow 1 2\nm 2\nrank 1 1\n")
 
     def test_line_numbers_in_errors(self):
-        with pytest.raises(InputError, match="line 2"):
+        with pytest.raises(InputError, match="line 2: vertex index out of range"):
             parse_quiver("vertices 2\narrow 1 9\nm 2 2\nrank 1 1\n")
+
+    @pytest.mark.parametrize("line", ["m 3 3", "rank 0 0", "order other.txt"])
+    def test_rejects_duplicate_keyword(self, line):
+        # arrow lines repeat; every other keyword appears once
+        text = "vertices 2\narrow 1 2\narrow 1 2\nm 2 2\nrank 1 1\norder o.txt\n"
+        with pytest.raises(InputError, match=f"line 7: duplicate {line.split()[0]} line"):
+            parse_quiver(text + line + "\n")
 
     def test_vertex_out_of_range(self):
         with pytest.raises(InputError):

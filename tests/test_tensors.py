@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivergb import tensors as T
 from quivergb.poly import (
@@ -88,6 +90,55 @@ class TestContractionScanFlatten:
     def test_flatten_preserves_entries(self, tensorex):
         flat = [e for row in T.flatten(tensorex, 2) for e in row]
         assert sorted(flat) == sorted(tensorex.values)
+
+
+def _indices(shape):
+    return product(*(range(1, a + 1) for a in shape))
+
+
+@st.composite
+def tensors_and_axes(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+    values = draw(st.lists(entry, min_size=prod(shape), max_size=prod(shape)))
+    axes = st.integers(1, len(shape))
+    return T.Tensor(shape, values), draw(st.lists(axes, max_size=len(shape))), draw(axes)
+
+
+class TestWalkMatchesIndexedDefinitions:
+    """contraction, scan and flatten against their definitions through X[idx]."""
+
+    @staticmethod
+    def contraction_by_index(X, J):
+        keep = [pos for pos in range(X.arity) if pos + 1 not in J]
+
+        def entry(kept):
+            return sum(X[idx] for idx in _indices(X.shape)
+                       if tuple(idx[pos] for pos in keep) == kept)
+
+        if not keep:
+            return entry(())
+        shape = tuple(X.shape[pos] for pos in keep)
+        return T.Tensor(shape, [entry(kept) for kept in _indices(shape)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(tensors_and_axes())
+    def test_walk(self, case):
+        X, J, j = case
+        every = list(range(1, X.arity + 1))
+        for axes in (J, every, J + every[:1], every + every):
+            assert T.contraction(X, axes) == self.contraction_by_index(X, set(axes))
+        assert T.contraction(X, every) == sum(X.values)
+
+        rest = X.shape[:j - 1] + X.shape[j:]
+        assert T.scan(X, j) == [
+            T.Tensor(rest, [X[idx[:j - 1] + (i,) + idx[j - 1:]] for idx in _indices(rest)])
+            for i in range(1, X.shape[j - 1] + 1)]
+
+        columns = sorted(_indices(rest), key=lambda idx: idx[::-1])
+        assert T.flatten(X, j) == [
+            [X[idx[:j - 1] + (i,) + idx[j - 1:]] for idx in columns]
+            for i in range(1, X.shape[j - 1] + 1)]
 
 
 class TestRank:
@@ -199,6 +250,19 @@ class TestIndependence:
     def test_conditional_slices(self):
         gens = T.independence_ideal((2, 2, 2), [T.parse_statement("1_2|3")])
         assert len(gens) == 2  # one 2x2 determinant per state of axis 3
+
+    def test_rows_follow_the_first_axis(self):
+        # det(M^T) = det(M), so a_b and b_a give the same minors, but in the
+        # row-then-column order of the marginal with rows indexed by a
+        sym = T.symbolic_tensor((3, 2, 3))
+        slices = [[[sym[(i, j, k)] for i in (1, 2, 3)] for k in (1, 2, 3)] for j in (1, 2)]
+        by_slice = [g for M in slices for g in T._poly_minors(M, 2)]
+        gens = T.independence_ideal((3, 2, 3), [T.parse_statement("3_1|2")])
+        assert gens == by_slice
+        marginal = [[a + b for a, b in zip(*rows)] for rows in zip(*slices)]
+        gens = T.independence_ideal((3, 2, 3), [T.parse_statement("3_1")])
+        assert gens == T._poly_minors(marginal, 2)
+        assert gens != T.independence_ideal((3, 2, 3), [T.parse_statement("1_3")])
 
     def test_sign_duplicates_keep_the_first(self):
         x, y = poly_var(0), poly_var(1)
