@@ -5,6 +5,8 @@ ideals.  Exit codes: 0 verified/success, 1 property refuted, 2 bad input."""
 from __future__ import annotations
 
 import argparse
+import marshal
+import os
 import sys
 from pathlib import Path
 
@@ -50,10 +52,8 @@ def _load_layout(args):
 
 
 def _gens(layout, ord, field, out):
-    lines = []
-    for ref, poly in natural_generators(layout, field):
-        lines.append(f"{render_minor_spec(ref)} {render(poly, ord, layout.var_name)}")
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{render_minor_spec(ref)} {render(poly, ord, layout.var_name)}\n"
+                   for ref, poly in natural_generators(layout, field))
     if out:
         try:
             Path(out).write_text(text)
@@ -88,17 +88,109 @@ def _certify(layout, ord, field, args):
             raise InputError("a pair needs two different generators")
         wanted = [(i, j)]
     certifier = spair.Certifier(layout, ord, field)
-    failures = 0
-    for i, j in wanted:
+
+    def certify(pair):
+        i, j = pair
         cert = certifier.build(refs[i], refs[j])
         ok = certifier.verify(cert)
-        print(f"pair {i} {j} chain {len(cert.refs)} verified {'true' if ok else 'false'}")
+        text = f"pair {i} {j} chain {len(cert.refs)} verified {'true' if ok else 'false'}"
         if len(wanted) == 1:
-            print(spair.render_certificate(layout, cert, ord))
-        if not ok:
-            failures += 1
+            text += "\n" + spair.render_certificate(layout, cert, ord)
+        return text, ok
+
+    failures = 0
+
+    def emit(result):
+        nonlocal failures
+        text, ok = result
+        print(text)
+        failures += not ok
+
+    _map_chunks(certify, wanted, emit)
     print(f"certified: {len(wanted) - failures}/{len(wanted)}")
     return 0 if failures == 0 else 1
+
+
+# the errors a worker hands back to be raised again in the parent
+_WORKER_ERRORS = {cls.__name__: cls for cls in (InputError, DomainError)}
+
+
+def _cpus():
+    """How many CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, items, emit):
+    """emit(fn(item)) for each item, in order.
+
+    The items are cut into contiguous chunks, one per CPU this process may
+    run on and never more than there are items.  Each chunk after the first
+    goes to a forked worker, which inherits everything fn has built so far,
+    runs fn on its chunk and sends the results back over a pipe with
+    marshal, so they must be marshallable.  Meanwhile this process runs the
+    first chunk, emitting as it goes, then emits each worker's results in
+    chunk order.  Contiguous chunks keep neighbouring items, which share the
+    most work, in one process.  An InputError or DomainError in a worker is
+    raised here after the results before it, as a serial run would.  Every
+    worker is reaped before this returns or raises, and those still running
+    when it raises are killed first."""
+    n = max(1, min(_cpus(), len(items)))
+    bounds = [len(items) * c // n for c in range(n + 1)]
+    pipes, running = [], set()  # (pid, read end) per worker; pids not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, items[lo:hi], w)
+            running.add(pid)
+            os.close(w)
+            pipes.append((pid, open(r, "rb")))
+        for item in items[:bounds[1]]:
+            emit(fn(item))
+        for pid, pipe in pipes:
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if status:
+                raise RuntimeError(f"worker {pid} failed with wait status {status}")
+            results, error = marshal.loads(data)
+            for result in results:
+                emit(result)
+            if error:
+                raise _WORKER_ERRORS[error[0]](error[1])
+    finally:
+        for pid in running:
+            os.kill(pid, 9)  # SIGKILL on every POSIX system; importing signal costs start-up
+        for pid in running:
+            os.waitpid(pid, 0)
+        for _, pipe in pipes:
+            pipe.close()
+
+
+def _worker(fn, items, fd):
+    """The body of a forked worker of _map_chunks: never returns."""
+    code = 1
+    try:
+        results, error = [], None
+        try:
+            for item in items:
+                results.append(fn(item))
+        except (InputError, DomainError) as exc:
+            error = type(exc).__name__, str(exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(marshal.dumps((results, error)))
+        code = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 def _spair(layout, ord, field, args):

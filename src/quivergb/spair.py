@@ -147,14 +147,16 @@ def _check_member(p, S, what):
 
 def coset_reps(an, side):
     """One representative per coset sigma * prod(Sym(I_j)); identity first."""
-    return _coset_reps(an.S_M if side == "row" else an.S_N, an.incidence_classes)
+    S = an.S_M if side == "row" else an.S_N
+    return tuple(p for _, p in _coset_reps(S, an.incidence_classes))
 
 
 @cache
 def _coset_reps(S, incidence_classes):
-    """The cosets depend only on the support S and the incidence classes, so
-    pairs with the same pattern share one enumeration.  Every caller gets the
-    same permutations, so they are read-only views."""
+    """(sign, representative) per coset, identity first.  The cosets depend
+    only on the support S and the incidence classes, so pairs with the same
+    pattern share one enumeration.  Every caller gets the same permutations,
+    so they are read-only views."""
     inc = frozenset(i for cls in incidence_classes for i in cls) & S
     fixed = sorted(S - inc)
     buckets = {}
@@ -167,7 +169,7 @@ def _coset_reps(S, incidence_classes):
             buckets[key] = p
     reps = sorted(buckets.values(), key=lambda p: perm_oneline(p, S))
     # identity has the minimal one-line form, so it is already first
-    return tuple(MappingProxyType(p) for p in reps)
+    return tuple((perm_sign(p), MappingProxyType(p)) for p in reps)
 
 
 def L_of(an, sigma, tau):
@@ -208,6 +210,19 @@ def p_row(an, sigma):
     """P_{sigma,.} as (sign, cofactor, pseudominor of N's matrix)."""
     _check_member(sigma, an.S_M, "sigma")
     _require_orientation(an)
+    return (perm_sign(sigma), *_row_term(an, sigma))
+
+
+def p_col(an, tau):
+    """P_{.,tau} as (sign, cofactor, pseudominor of M's matrix)."""
+    _check_member(tau, an.S_N, "tau")
+    _require_orientation(an)
+    return (perm_sign(tau), *_col_term(an, tau))
+
+
+def _row_term(an, sigma):
+    """The cofactor and pseudominor of P_{sigma,.}, for a sigma known to
+    permute S_M of a pair in sink-first orientation."""
     jlist = sorted(an.S_N)
     layout = an.layout
     if an.mode == "matrix":
@@ -224,13 +239,12 @@ def p_row(an, sigma):
     cof = mono_from(
         (_var_at(an, an.alpha[perm_apply(sigma, k)], an.beta[k], an.page[k]), 1)
         for k in an.S_M - an.S_N)
-    return perm_sign(sigma), cof, pm
+    return cof, pm
 
 
-def p_col(an, tau):
-    """P_{.,tau} as (sign, cofactor, pseudominor of M's matrix)."""
-    _check_member(tau, an.S_N, "tau")
-    _require_orientation(an)
+def _col_term(an, tau):
+    """The cofactor and pseudominor of P_{.,tau}, for a tau known to permute
+    S_N of a pair in sink-first orientation."""
     ilist = sorted(an.S_M)
     layout = an.layout
     if an.mode == "matrix":
@@ -247,21 +261,26 @@ def p_col(an, tau):
     cof = mono_from(
         (_var_at(an, an.alpha[k], an.beta[perm_apply(tau, k)], an.page[k]), 1)
         for k in an.S_N - an.S_M)
-    return perm_sign(tau), cof, pm
+    return cof, pm
 
 
 def _coset_decomposition(an):
-    row_terms = []
-    for sigma in coset_reps(an, "row")[1:]:
-        sign, cof, pm = p_row(an, sigma)
+    """P(M, N) from the cosets; their representatives are generated here, so
+    only the orientation is checked."""
+    _require_orientation(an)
+    return Decomposition(an.M, an.N, _coset_terms(an, an.S_M, _row_term),
+                         _coset_terms(an, an.S_N, _col_term))
+
+
+def _coset_terms(an, S, term):
+    """The terms of the non-identity cosets of S whose pseudominors are not
+    trivial."""
+    out = []
+    for sign, p in _coset_reps(S, an.incidence_classes)[1:]:
+        cof, pm = term(an, p)
         if not pm.trivial:
-            row_terms.append(DecompTerm(sign, cof, pm))
-    col_terms = []
-    for tau in coset_reps(an, "col")[1:]:
-        sign, cof, pm = p_col(an, tau)
-        if not pm.trivial:
-            col_terms.append(DecompTerm(sign, cof, pm))
-    return Decomposition(an.M, an.N, tuple(row_terms), tuple(col_terms))
+            out.append(DecompTerm(sign, cof, pm))
+    return tuple(out)
 
 
 def p_decomposition(layout, M, N, ord, field=QQ):

@@ -2,19 +2,25 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import quivergb
-from quivergb import minors
+from quivergb import minors, spair, tensors
 from quivergb.cli import main
+from quivergb.layout import build_layout
+from quivergb.poly import DomainError, InputError
 
 from conftest import FOUR_VERTEX
 
 
 KEY_Q = "vertices 2\narrow 1 2\nm 3 3\nrank 1 1\n"
+PAGE_2X3 = "vertices 2\narrow 1 2\nm 3 2\nrank 1 1\n"
+PENCIL_22222 = ["double", "--m", "2", "--n", "2", "--r", "2", "--u", "2", "--v", "2"]
+NO_MINORS = ["double", "--m", "3", "--n", "3", "--r", "2", "--u", "9", "--v", "9"]
 TEX = "shape 2 2 2\n0 4 2 6 1 5 3 7\n"
 
 
@@ -74,6 +80,12 @@ class TestGens:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write output file: ") and "Traceback" not in err
         assert not dest.parent.exists()
+
+    def test_no_generators_writes_nothing(self, capsys, tmp_path):
+        assert run(capsys, *NO_MINORS, "gens") == (0, "", "")
+        dest = tmp_path / "gens.txt"
+        assert run(capsys, *NO_MINORS, "gens", "--out", str(dest)) == (0, "", "")
+        assert dest.read_text() == ""
 
     def test_duplicate_m_line_refused(self, capsys, tmp_path):
         q = tmp_path / "twice.q"
@@ -214,7 +226,10 @@ class TestCertify:
 
     def test_each_ref_expanded_once(self, capsys, tmp_path, monkeypatch):
         # listing the generators, the coprime syzygies and verification all
-        # read the one packed expansion per ref that the certifier keeps
+        # read the one packed expansion per ref that the certifier keeps;
+        # only this process is counted, so one CPU keeps every pair out of
+        # forked workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         expanded = Counter()
         det = minors._det
 
@@ -228,6 +243,115 @@ class TestCertify:
         assert code == 0 and out.endswith("certified: 5778/5778\n")
         assert len(expanded) >= 108
         assert max(expanded.values()) == 1
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(n) makes the CLI see n CPUs and returns the list that collects
+    the pid of every worker it forks from then on."""
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+    def see(n):
+        forked.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forked
+    return see
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_on(monkeypatch, pair, exc):
+    """Make Certifier.build raise exc on the pair (i, j) of the (2,2,2,2,2)
+    pencil, in whichever process certifies it."""
+    refs = minors.natural_refs(build_layout(tensors.double_det_spec(2, 2, 2, 2, 2)))
+    bad = (refs[pair[0]], refs[pair[1]])
+    build = spair.Certifier.build
+
+    def failing(self, M, N):
+        if (M, N) == bad:
+            raise exc
+        return build(self, M, N)
+    monkeypatch.setattr(spair.Certifier, "build", failing)
+
+
+class TestCertifyWidth:
+    """certify cuts its pairs into one contiguous chunk per CPU and forks a
+    worker for each chunk after the first; none of that shows."""
+
+    @pytest.mark.parametrize("text, argv, pairs", [
+        (FOUR_VERTEX, [], 5778),
+        (None, PENCIL_22222, 45),
+        (None, NO_MINORS, 0),
+        (PAGE_2X3, [], 3),
+    ], ids=["four-vertex", "pencil", "no-pairs", "fewer-pairs-than-cpus"])
+    def test_same_bytes_at_every_width(self, capsys, tmp_path, cpus, text, argv, pairs):
+        if text is not None:
+            q = tmp_path / "layout.q"
+            q.write_text(text)
+            argv = ["certify", "--quiver", str(q)]
+        else:
+            argv = [*argv, "certify"]
+        runs = []
+        for n in (1, 2, 4):
+            forked = cpus(n)
+            runs.append(run(capsys, *argv))
+            assert len(forked) == max(min(n, pairs) - 1, 0)
+        assert runs[0] == runs[1] == runs[2]
+        code, out, err = runs[0]
+        assert code == 0 and err == "" and out.endswith(f"certified: {pairs}/{pairs}\n")
+        assert_no_children()
+
+    @pytest.mark.parametrize("exc", [DomainError, InputError])
+    def test_worker_error_reads_as_serial(self, capsys, cpus, monkeypatch, exc):
+        # (8, 9) is the last of the 45 pairs, in the last worker's chunk
+        fail_on(monkeypatch, (8, 9), exc("no decomposition for this pair"))
+        runs = []
+        for n in (1, 2, 4):
+            forked = cpus(n)
+            runs.append(run(capsys, *PENCIL_22222, "certify"))
+            assert len(forked) == n - 1
+            assert_no_children()
+        assert runs[0] == runs[1] == runs[2]
+        code, out, err = runs[0]
+        assert code == 2 and err == "error: no decomposition for this pair\n"
+        lines = out.splitlines()
+        assert len(lines) == 44 and lines[-1].startswith("pair 7 9 ")
+
+    def test_worker_crash_is_raised(self, capsys, cpus, monkeypatch):
+        fail_on(monkeypatch, (8, 9), ValueError("a defect"))
+        cpus(2)
+        with pytest.raises(RuntimeError, match="worker .* failed"):
+            main([*PENCIL_22222, "certify"])
+        assert_no_children()
+
+    def test_interrupt_kills_workers(self, capsys, cpus, monkeypatch):
+        # the parent is interrupted on its first pair while every worker is
+        # stuck in its own first pair
+        parent = os.getpid()
+
+        def build(self, M, N):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        monkeypatch.setattr(spair.Certifier, "build", build)
+        forked = cpus(4)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main([*PENCIL_22222, "certify"])
+        assert time.monotonic() - start < 30
+        assert len(forked) == 3
+        assert_no_children()
 
 
 class TestInitIdeal:

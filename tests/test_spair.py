@@ -111,6 +111,16 @@ class TestDecomposition:
         assert cof == mono_from([(layout.var_of[(1, 3, 1)], 1)])
         assert pm == PseudoMinorRef(2, (2, 3), (1, 2))
 
+    def test_pair_of_two_sinks_refused(self):
+        # cosets are defined for a sink-side minor paired with a source-side
+        # one; vertices 3 and 4 of the four-vertex quiver are both sinks
+        layout, ord = make_instance(FOUR_VERTEX)
+        an = spair.analyze(layout, MinorRef(3, (1, 2), (1, 2)), MinorRef(4, (1, 2), (1, 2)), ord)
+        for build in (lambda: spair.p_row(an, {}), lambda: spair.p_col(an, {}),
+                      lambda: spair._coset_decomposition(an)):
+            with pytest.raises(DomainError, match="sink-side minor first"):
+                build()
+
     def test_identity_gives_cofactor_times_minor(self, single_3x3):
         layout, ord = single_3x3
         an = spair.analyze(layout, M3, N3, ord)
