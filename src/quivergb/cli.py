@@ -21,8 +21,7 @@ from . import spair, tensors
 
 
 def _field_of(args):
-    p = getattr(args, "field", 0)
-    return PrimeField(p) if p else QQ
+    return PrimeField(args.field) if args.field else QQ
 
 
 def _read_text(path, what):
@@ -278,8 +277,14 @@ def _add_quiver_flags(p):
                    help="work over GF(P) instead of the rationals")
 
 
+def _positive_int(text):
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _add_check_flags(p):
-    p.add_argument("--threads", type=int, default=1, metavar="N",
+    p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                    help="accepted for compatibility; selects nothing, the check is serial")
     p.add_argument("--no-coprime-skip", action="store_true")
     p.add_argument("--fail-fast", action="store_true")

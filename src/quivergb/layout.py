@@ -37,13 +37,13 @@ def parse_quiver(text):
                     raise InputError(f"duplicate {kw} line")
                 seen.add(kw)
             if kw == "vertices":
-                d = int(parts[1])
+                (d,) = map(int, parts[1:])
                 if d < 1:
                     raise InputError("vertex count must be positive")
             elif kw == "arrow":
                 if d is None:
                     raise InputError("vertices must come first")
-                s, t = int(parts[1]), int(parts[2])
+                s, t = map(int, parts[1:])
                 if not (1 <= s <= d and 1 <= t <= d):
                     raise InputError("vertex index out of range")
                 arrows.append((s, t))
@@ -52,12 +52,12 @@ def parse_quiver(text):
             elif kw == "rank":
                 u = tuple(int(x) for x in parts[1:])
             elif kw == "order":
-                order_file = parts[1]
+                (order_file,) = parts[1:]
             else:
                 raise InputError(f"unknown keyword {kw!r}")
         except InputError as exc:  # before ValueError, its base class
             raise InputError(f"line {lineno}: {exc}") from None
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:  # a bad int, or too few or too many arguments
             raise InputError(f"line {lineno}: malformed: {raw.strip()!r}") from exc
     if d is None:
         raise InputError("missing vertices line")
@@ -188,7 +188,9 @@ def default_order(layout):
 
 
 def parse_order_file(layout, text):
-    """Ranking file: one line per variable, ``x[i,j,k] <rank>``."""
+    """Ranking file: one line per variable, ``x[i,j,k] <rank>``, each name
+    exactly as Layout.var_name writes it."""
+    var_named = {layout.var_name(v): v for v in range(layout.nvars)}
     rank = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -196,10 +198,10 @@ def parse_order_file(layout, text):
             continue
         try:
             name, r = line.split()
-            inner = name[name.index("[") + 1:name.index("]")]
-            i, j, k = (int(x) for x in inner.split(","))
-            rank[layout.var_of[(i, j, k)]] = int(r)
-        except (ValueError, KeyError, IndexError) as exc:
+            rank[var_named[name]] = int(r)
+        except KeyError:
+            raise InputError(f"order file line {lineno}: unknown variable {name!r}") from None
+        except ValueError as exc:
             raise InputError(f"order file line {lineno}: malformed: {raw.strip()!r}") from exc
     if len(rank) != layout.nvars:
         raise InputError("order file must rank every lattice variable exactly once")

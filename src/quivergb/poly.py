@@ -28,20 +28,7 @@ def require(ok, message):
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
-
-class Rationals:
-    """Exact rational coefficients (the default).  A value is a plain int
-    until something is divided by a non-unit, and a Fraction from then on."""
-
-    char = 0
-
-    def of(self, n):
-        return n
-
-    def __repr__(self):
-        return "QQ"
-
+# coefficient fields: a field is its characteristic, 0 for QQ or p for GF(p)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 318665857834031151167461  # least strong pseudoprime to all of them
@@ -59,29 +46,20 @@ def is_prime(n):
                    for a in _MR_BASES)
 
 
-class PrimeField:
-    """GF(p) coefficients, p a prime: a value is an int residue, and a
-    polynomial coefficient one in 1..p-1."""
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
-        self.p = p
-        self.char = p
-
-    def of(self, n):
-        return n % self.p
-
-    def __repr__(self):
-        return f"GF({self.p})"
+def PrimeField(p):
+    """The field GF(p), which is its characteristic: the int p, once it is
+    checked to be prime."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return p
 
 
-QQ = Rationals()
+QQ = 0  # the rationals, by their characteristic
 
 
-def inverse(c, p=0):
-    """1/c for a nonzero coefficient of characteristic p; the only place a
-    coefficient is divided.
+def inverse(c, p=QQ):
+    """1/c for a nonzero coefficient of the field p, QQ (0) or a prime; the
+    only place a coefficient is divided.
 
     Over GF(p) the inverse is the residue ``pow(c, -1, p)``.  Over QQ an int
     +-1 is its own inverse, any other int becomes a Fraction (never a float),
@@ -185,13 +163,13 @@ class OrderSpec:
 class Polynomial:
     """Immutable-by-convention sparse polynomial: dict monomial -> coeff.
 
-    ``char`` is the characteristic of the coefficient field: 0 for QQ, or p
-    for GF(p), whose coefficients are ints in 1..p-1.  The arithmetic below
-    reduces mod p wherever it makes a coefficient."""
+    ``char`` is the coefficient field, which is its characteristic: QQ (0),
+    or the prime p for GF(p), whose coefficients are ints in 1..p-1.  The
+    arithmetic below reduces mod p wherever it makes a coefficient."""
 
     __slots__ = ("terms", "char")
 
-    def __init__(self, terms=None, char=0):
+    def __init__(self, terms=None, char=QQ):
         self.terms = dict(terms) if terms else {}
         self.char = char
 
@@ -235,22 +213,21 @@ def _char(f, g):
 
 def poly_from_terms(terms, field=QQ):
     """terms: iterable of (coeff, monomial); merges and drops zeros."""
-    p = field.char
     acc = {}
     for c, m in terms:
         if m in acc:
             c = acc[m] + c
-        if p:
-            c %= p
+        if field:
+            c %= field
         if c:
             acc[m] = c
         else:
             acc.pop(m, None)
-    return Polynomial(acc, p)
+    return Polynomial(acc, field)
 
 
 def poly_var(v, field=QQ):
-    return Polynomial({((v, 1),): 1}, field.char)
+    return Polynomial({((v, 1),): 1}, field)
 
 
 def poly_add(f, g):

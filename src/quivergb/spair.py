@@ -596,7 +596,7 @@ def _diagonal_minors_dividing(layout, vertex, L, size):
 
 class Certifier:
     """Builds and verifies chain certificates for one run, over a fixed
-    layout, order and field.
+    layout, order and field (0 for QQ, or the prime p for GF(p)).
 
     Chains of different pairs share many steps (F, G).  For the life of the
     certifier it keeps the accepted decomposition of every step it built
@@ -664,15 +664,15 @@ class Certifier:
         decomposition, with the generators themselves as the pseudominors.
         Both tails are read off the packed forms, in descending order."""
         f, g = self._det(M, expand_minor), self._det(N, expand_minor)
-        field, unpack = self.field, self.codec.unpack
+        p, unpack = self.field, self.codec.unpack
         unit = f[2] * g[2]  # the inverses of both leading coefficients
-        minus_one = field.of(-1)  # 1 over GF(2), where every sign is +
+        minus_one = p - 1 if p else -1  # 1 over GF(2), where every sign is +
 
         def tail(det, other):
             pm = PseudoMinorRef(other.vertex, other.rows, other.cols)
             terms = []
             for m, c in sorted(det[0], reverse=True)[1:]:
-                s = field.of(c * unit)
+                s = c * unit % p if p else c * unit
                 if s == 1:
                     sign = 1
                 elif s == minus_one:
@@ -778,7 +778,7 @@ class Certifier:
         being the largest monomial of a packed expansion, so the test of a
         term is ``cof + lm(pm) < L`` on ints.  A sum that outgrows a field
         raises Overflow before anything is compared."""
-        guard, pack, p = self.codec.guard, self.codec.pack, self.field.char
+        guard, pack, p = self.codec.guard, self.codec.pack, self.field
         f, g = self._det(F, expand_minor), self._det(G, expand_minor)
         L = self.codec.lcm(f[1], g[1])
         # a minor of distinct variables is multilinear, so no exponent of

@@ -94,6 +94,13 @@ class TestGens:
         assert code == 2 and out == ""
         assert "line 4: duplicate m line" in err
 
+    def test_extra_token_refused(self, capsys, tmp_path):
+        q = tmp_path / "extra.q"
+        q.write_text("vertices 2 7\narrow 1 2\nm 2 2\nrank 1 1\n")
+        code, out, err = run(capsys, "gens", "--quiver", str(q))
+        assert code == 2 and out == ""
+        assert "line 1: malformed: 'vertices 2 7'" in err
+
 
 class TestCheck:
     def test_pass(self, capsys, quiver_file):
@@ -108,6 +115,19 @@ class TestCheck:
         _, out1, _ = run(capsys, "check", "--quiver", quiver_file, "--threads", "1")
         _, out4, _ = run(capsys, "check", "--quiver", quiver_file, "--threads", "4")
         assert out1 == out4
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_refused(self, capsys, quiver_file, threads):
+        code, out, err = run(capsys, "check", "--quiver", quiver_file, f"--threads={threads}")
+        assert code == 2 and out == "" and "not a positive integer" in err
+
+    @pytest.mark.parametrize("name", ["zz[1,1,1]", "x[1,2,1]junk"])
+    def test_unknown_order_file_name_refused(self, capsys, tmp_path, name):
+        q = order_quiver(tmp_path, False)
+        order = tmp_path / "order.txt"
+        order.write_text(order.read_text().replace("x[1,1,1]", name, 1))
+        code, out, err = run(capsys, "check", "--quiver", q)
+        assert code == 2 and out == "" and f"unknown variable {name!r}" in err
 
     @pytest.mark.parametrize("verb", ["check", "gens", "init-ideal"])
     def test_reversed_order_file_refused(self, capsys, tmp_path, verb):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from quivergb.layout import (
@@ -37,6 +39,17 @@ class TestParsing:
         text = "vertices 2\narrow 1 2\narrow 1 2\nm 2 2\nrank 1 1\norder o.txt\n"
         with pytest.raises(InputError, match=f"line 7: duplicate {line.split()[0]} line"):
             parse_quiver(text + line + "\n")
+
+    @pytest.mark.parametrize("line", ["vertices 2 7", "vertices", "arrow 1 2 9", "arrow 1",
+                                      "order o.txt extra", "order"])
+    def test_rejects_wrong_argument_count(self, line):
+        # vertices and order take one argument, arrow takes two
+        lines = ["vertices 2", "arrow 1 2", "m 2 2", "rank 1 1", "order o.txt"]
+        lineno = next(n for n, known in enumerate(lines, start=1)
+                      if known.split()[0] == line.split()[0])
+        lines[lineno - 1] = line
+        with pytest.raises(InputError, match=re.escape(f"line {lineno}: malformed: {line!r}")):
+            parse_quiver("\n".join(lines) + "\n")
 
     def test_vertex_out_of_range(self):
         with pytest.raises(InputError):
@@ -99,6 +112,21 @@ class TestOrders:
         layout = build_layout(parse_quiver("vertices 2\narrow 1 2\nm 2 2\nrank 1 1\n"))
         with pytest.raises(InputError, match="every lattice variable"):
             parse_order_file(layout, "x[1,1,1] 0\n")
+
+    @pytest.mark.parametrize("name", ["zz[1,1,1]", "x[1,2,1]junk", "x[01,1,1]", "x[1,1,2]",
+                                      "x[1,1]"])
+    def test_order_file_refuses_unknown_names(self, name):
+        # a name must be one Layout.var_name writes, character for character
+        layout = build_layout(parse_quiver("vertices 2\narrow 1 2\nm 2 2\nrank 1 1\n"))
+        names = [name] + [layout.var_name(v) for v in range(1, layout.nvars)]
+        text = "".join(f"{n} {r}\n" for r, n in enumerate(names))
+        with pytest.raises(InputError, match=re.escape(f"line 1: unknown variable {name!r}")):
+            parse_order_file(layout, text)
+
+    def test_order_file_refuses_a_malformed_rank(self):
+        layout = build_layout(parse_quiver("vertices 2\narrow 1 2\nm 2 2\nrank 1 1\n"))
+        with pytest.raises(InputError, match="line 1: malformed"):
+            parse_order_file(layout, "x[1,1,1] first\n")
 
     def test_inconsistent_order_reported_once_per_pair(self):
         layout = build_layout(parse_quiver("vertices 2\narrow 1 2\nm 2 2\nrank 1 1\n"))

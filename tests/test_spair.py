@@ -606,3 +606,22 @@ class TestMemos:
                 assert verify(cert)
                 h.update(spair.render_certificate(layout, cert, ord).encode() + b"\n")
             assert h.hexdigest() == digest
+
+
+class TestIntegerIdentities:
+    """A certificate is an identity over Z: every minor has leading
+    coefficient +-1 and every pseudominor +-1 coefficients, so what is
+    built and verified over QQ verifies modulo every prime."""
+
+    @pytest.mark.parametrize("instance, pairs", [
+        (lambda: make_instance(FOUR_VERTEX), 5778),
+        (lambda: pencil_instance(3, 3, 2, 2, 2), 2556),
+    ], ids=["four-vertex", "pencil-3x3"])
+    def test_rational_certificates_verify_mod_p(self, instance, pairs):
+        layout, ord = instance()
+        run = spair.Certifier(layout, ord, QQ)
+        certs = [run.build(A, B) for A, B in combinations(natural_refs(layout), 2)]
+        assert len(certs) == pairs and all(map(run.verify, certs))
+        for p in (2, 3, 7):
+            mod_p = spair.Certifier(layout, ord, PrimeField(p))
+            assert all(map(mod_p.verify, certs)), p
