@@ -5,19 +5,45 @@ ideals.  Exit codes: 0 verified/success, 1 property refuted, 2 bad input."""
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import marshal
 import os
 import sys
 from pathlib import Path
 
 from .poly import QQ, DomainError, InputError, Polynomial, PrimeField, render, s_polynomial
-from .layout import build_layout, default_order, parse_order_file, parse_quiver
+from .layout import (
+    build_layout, default_order, double_det_spec, parse_order_file, parse_quiver,
+)
 from .minors import (
     ensure_consistent, expand_minor, natural_generators, natural_refs, parse_minor_spec,
     render_minor_spec,
 )
 from .groebner import buchberger_check, initial_ideal_gens, is_squarefree
-from . import spair, tensors
+
+
+def _lazy(name):
+    """The submodule name of this package, run on its first attribute
+    access rather than now; the module itself if it is loaded already.
+
+    Either way it is the module in sys.modules and an attribute of the
+    package, as an import leaves it, so a later import of it, or a lookup
+    there, gets this same object."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# only certify and spair run spair, and only the tensor verbs run tensors
+spair = _lazy("spair")
+tensors = _lazy("tensors")
 
 
 def _field_of(args):
@@ -45,8 +71,7 @@ def _load_layout(args):
             ord = default_order(layout)
         return layout, ord
     # double determinantal shorthand
-    layout = build_layout(tensors.double_det_spec(args.m, args.n, args.r,
-                                                  args.u, args.v))
+    layout = build_layout(double_det_spec(args.m, args.n, args.r, args.u, args.v))
     return layout, default_order(layout)
 
 

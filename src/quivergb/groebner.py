@@ -36,26 +36,109 @@ class CheckReport(namedtuple("CheckReport", "total_pairs skipped_coprime reduced
 
 
 def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
-    """Reduce every S-pair of G (a list or a PreparedBasis) by G, in pair-index order."""
+    """Decide whether G (a list or a PreparedBasis) is a Groebner basis by
+    Buchberger's criterion.
+
+    The report is always that of reducing every S-pair by G in pair-index
+    order, skipping coprime pairs under coprime_skip and stopping at the
+    first failure under fail_fast.  When coprime_skip is on and every
+    leading monomial is squarefree, the pairs of _spanning_pairs are reduced
+    first.  If each of them reduces to zero, G is a Groebner basis, so every
+    S-pair would reduce to zero as well, and the report needs no more.
+    Otherwise the S-pairs are reduced one after another, which gives the
+    failures."""
     basis = prepared(G, ord)
     lvars = basis.lvars
     n = len(lvars)
     total = n * (n - 1) // 2
-    skipped = zero = 0
-    failures = []
-    for i in range(n):
+    if coprime_skip and is_squarefree(basis.lms):
+        proof, overlapping = _spanning_pairs(lvars)
+        if not basis.s_pair_remainders(proof, first=True):
+            return CheckReport(total, total - overlapping, overlapping, [], True)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if not (coprime_skip and lvars[i].isdisjoint(lvars[j]))]
+    found = basis.s_pair_remainders(pairs, first=fail_fast)
+    failures = [(*pairs[k], rem) for k, rem in found]
+    if fail_fast and found:
+        k = found[0][0]
+        i, j = pairs[k]
+        before = i * n - i * (i + 1) // 2 + j - i - 1  # pairs before (i, j)
+        return CheckReport(total, before - k, k, failures, False)
+    return CheckReport(total, total - len(pairs), len(pairs) - len(failures), failures, True)
+
+
+def _spanning_pairs(lvars):
+    """The overlapping pairs that need reducing, and the number of pairs
+    that overlap, for generators whose leading monomials are squarefree,
+    given by their variable sets lvars.
+
+    This is Buchberger's chain criterion (Gebauer and Moeller, J. Symb.
+    Comput. 6, 1988): G is a Groebner basis when the S-polynomials reduce to
+    zero for a set of pairs whose S-syzygies span all of them.  Coprime
+    pairs need no reducing (Buchberger's first criterion).  For an lcm L,
+    join two generators whose leading monomials divide L when they are
+    coprime or their lcm strictly divides L: by induction on L, the syzygy
+    of such a pair, lifted to L, is spanned already.  The syzygy of an L-pair
+    whose ends a path joins is the sum of those along the path, so only the
+    L-pairs that join two components are kept, in pair-index order.  A
+    monomial is a bit mask of its variables here."""
+    masks = [sum(1 << v for v in vs) for vs in lvars]
+    n = len(masks)
+    by_lcm = {}  # L -> its overlapping pairs, in pair-index order
+    for i, a in enumerate(masks):
         for j in range(i + 1, n):
-            if coprime_skip and lvars[i].isdisjoint(lvars[j]):
-                skipped += 1
-                continue
-            rem = basis.s_pair_remainder(i, j)
-            if rem.is_zero():
-                zero += 1
-            else:
-                failures.append((i, j, rem))
-                if fail_fast:
-                    return CheckReport(total, skipped, zero, failures, False)
-    return CheckReport(total, skipped, zero, failures, True)
+            b = masks[j]
+            if a & b:
+                L = a | b
+                if L in by_lcm:
+                    by_lcm[L].append((i, j))
+                else:
+                    by_lcm[L] = [(i, j)]
+    with_lm = {}  # leading monomial -> the generators that have it
+    for k, a in enumerate(masks):
+        with_lm.setdefault(a, []).append(k)
+    kept = []
+    for L, pairs in by_lcm.items():
+        ends = {k for pair in pairs for k in pair}
+        if any(k not in ends for d in _divisors(L, with_lm) for k in with_lm[d]):
+            continue  # a divisor in no L-pair joins every other: one component
+        # The divisors of L are the ends; each two that are not an L-pair are joined.
+        root = {k: k for k in ends}
+        ends, lcm_pairs = sorted(ends), set(pairs)
+        for x, a in enumerate(ends):
+            for b in ends[x + 1:]:
+                if (a, b) not in lcm_pairs:
+                    _join(root, a, b)
+        for pair in pairs:
+            if _join(root, *pair):
+                kept.append(pair)
+    kept.sort()
+    return kept, sum(map(len, by_lcm.values()))
+
+
+def _divisors(L, monos):
+    """The monomials among monos (masks) that divide the mask L."""
+    if 1 << L.bit_count() > len(monos):
+        return [m for m in monos if m & L == m]
+    out = []
+    sub = L
+    while True:  # every sub-mask of L, L itself first and 0 last
+        if sub in monos:
+            out.append(sub)
+        if not sub:
+            return out
+        sub = (sub - 1) & L
+
+
+def _join(root, a, b):
+    """Join the components of a and b in the union-find forest root; False
+    if they were one already."""
+    while root[a] != a:
+        a = root[a]
+    while root[b] != b:
+        b = root[b]
+    root[a] = b
+    return a != b
 
 
 def initial_ideal_gens(G, ord):

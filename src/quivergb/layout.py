@@ -75,6 +75,14 @@ def parse_quiver(text):
     return QuiverSpec(d, tuple(arrows), m, u, order_file)
 
 
+def double_det_spec(m, n, r, u, v):
+    """Two vertices joined by r parallel arrows; pages are m x n, the sink
+    concatenation is m x rn (u-minors), the source stack rm x n (v-minors)."""
+    if min(m, n, r) < 1 or min(u, v) < 1:
+        raise InputError("dimensions and minor sizes must be positive")
+    return QuiverSpec(2, tuple((1, 2) for _ in range(r)), (n, m), (v - 1, u - 1))
+
+
 def render_quiver(spec):
     lines = [f"vertices {spec.d}"]
     lines.extend(f"arrow {s} {t}" for s, t in spec.arrows)
@@ -198,11 +206,15 @@ def parse_order_file(layout, text):
             continue
         try:
             name, r = line.split()
-            rank[var_named[name]] = int(r)
+            v = var_named[name]
+            r = int(r)
         except KeyError:
             raise InputError(f"order file line {lineno}: unknown variable {name!r}") from None
         except ValueError as exc:
             raise InputError(f"order file line {lineno}: malformed: {raw.strip()!r}") from exc
+        if v in rank:
+            raise InputError(f"order file line {lineno}: duplicate variable {name!r}")
+        rank[v] = r
     if len(rank) != layout.nvars:
         raise InputError("order file must rank every lattice variable exactly once")
     return OrderSpec(rank)

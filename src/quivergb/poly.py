@@ -9,7 +9,6 @@ vector read in rank order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
@@ -69,7 +68,10 @@ def inverse(c, p=QQ):
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(c, -1, p)
     if isinstance(c, int):
-        return c if c in (1, -1) else Fraction(1, c)
+        if c in (1, -1):
+            return c
+        from fractions import Fraction  # loaded only by a run that makes one
+        return Fraction(1, c)
     return c ** -1
 
 
@@ -456,10 +458,11 @@ class PreparedBasis:
     """The generators of a division, with what every division by them needs
     worked out once, and the division engine that uses it.
 
-    Kept per generator: the polynomial, the variable set of its leading
-    monomial (for coprimality tests), and its packed form by the basis's
-    MonomialCodec, whose ``lm`` is the leading monomial.  Every generator
-    has the basis's characteristic ``char``, which its first generator sets.
+    Kept per generator: the polynomial, its leading monomial and that
+    monomial's variable set (for coprimality tests), and its packed form by
+    the basis's MonomialCodec, whose ``lm`` is the packed leading monomial.
+    Every generator has the basis's characteristic ``char``, which its first
+    generator sets.
 
     An anchor index files each generator under the top field of its leading
     monomial, ``bit_length() // width``, or under None when that is 1.
@@ -469,12 +472,13 @@ class PreparedBasis:
     empties both and the next division packs every generator again.
     """
 
-    __slots__ = ("polys", "ord", "char", "lvars", "codec", "_packed", "_anchored")
+    __slots__ = ("polys", "ord", "char", "lms", "lvars", "codec", "_packed", "_anchored")
 
     def __init__(self, G, ord):
         self.polys = []
         self.ord = ord
         self.char = 0
+        self.lms = []  # the leading monomial of each generator
         self.lvars = []  # frozenset of the variables of each leading monomial
         self.codec = MonomialCodec(ord)
         self._packed = self.codec.cache()  # index -> packed form of the generator
@@ -493,7 +497,9 @@ class PreparedBasis:
         self.char = g.char
         self.polys.append(g)
         self.codec.run(self._pack)
-        self.lvars.append(mono_vars(self.codec.unpack(self._packed[len(self.polys) - 1][1])))
+        lm = self.codec.unpack(self._packed[len(self.polys) - 1][1])
+        self.lms.append(lm)
+        self.lvars.append(mono_vars(lm))
 
     def _pack(self):
         """Pack and file every generator not packed yet: all of them after a
@@ -586,8 +592,7 @@ class PreparedBasis:
         """_divide(make_work(*args)) at the codec's current width, for
         codec.run: the generators are packed again first if a widening
         emptied their packed forms."""
-        if len(self._packed) < len(self.polys):
-            self._pack()
+        self._pack()
         return self._divide(make_work(*args))
 
     def divide(self, f):
@@ -601,12 +606,35 @@ class PreparedBasis:
         return (Polynomial({unpack(m): c for m, c in work.items()}, char),
                 [((c, unpack(m)), idx) for c, m, idx in used])
 
-    def s_pair_remainder(self, i, j):
-        """The remainder of S(G[i], G[j]) divided by the basis, formed and
-        divided packed; only the remainder's terms are unpacked."""
-        work, _ = self.codec.run(self._step, self._s_polynomial, i, j)
+    def s_pair_remainders(self, pairs, first=False):
+        """The nonzero remainders of S(G[i], G[j]) divided by the basis, for
+        (i, j) in the sequence pairs, as (position in pairs, remainder) in
+        order; with first, only the first of them.
+
+        Every S-polynomial is formed and divided packed, all under one
+        codec.run, and only a nonzero remainder is unpacked."""
+        found = self.codec.run(self._remainders, pairs, first)
         unpack = self.codec.unpack
-        return Polynomial({unpack(m): c for m, c in work.items()}, self.char)
+        return [(k, Polynomial({unpack(m): c for m, c in work.items()}, self.char))
+                for k, work in found]
+
+    def _remainders(self, pairs, first):
+        """s_pair_remainders at the codec's current width, the remainders packed."""
+        self._pack()
+        divide, s_polynomial = self._divide, self._s_polynomial
+        found = []
+        for k, (i, j) in enumerate(pairs):
+            work, _ = divide(s_polynomial(i, j))
+            if work:
+                found.append((k, work))
+                if first:
+                    break
+        return found
+
+    def s_pair_remainder(self, i, j):
+        """The remainder of S(G[i], G[j]) divided by the basis; see s_pair_remainders()."""
+        found = self.s_pair_remainders([(i, j)])
+        return found[0][1] if found else Polynomial(char=self.char)
 
 
 def prepared(G, ord):

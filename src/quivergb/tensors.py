@@ -6,14 +6,13 @@ independence ideals of statistical models."""
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 from .poly import (
     QQ, InputError, OrderSpec, PreparedBasis, poly_neg, poly_var, require,
 )
-from .layout import QuiverSpec, build_layout, default_order
+from .layout import build_layout, default_order, double_det_spec
 from .minors import det_poly_matrix, natural_generators
 from .groebner import buchberger_check, ideal_membership
 
@@ -131,6 +130,7 @@ def parse_tensor(text):
         raise InputError("empty shape")
     for n in range(1, len(shape) + 1):
         if len(body) - 1 - n == prod(shape[:n]):
+            from fractions import Fraction  # loaded only by a run that makes one
             try:
                 vals = [Fraction(tok) for tok in body[1 + n:]]
             except (ValueError, ZeroDivisionError) as exc:
@@ -186,14 +186,6 @@ def _poly_minors(M, size):
 # ---------------------------------------------------------------------------
 # double determinantal ideals
 
-def double_det_spec(m, n, r, u, v):
-    """Two vertices joined by r parallel arrows; pages are m x n, the sink
-    concatenation is m x rn (u-minors), the source stack rm x n (v-minors)."""
-    if min(m, n, r) < 1 or min(u, v) < 1:
-        raise InputError("dimensions and minor sizes must be positive")
-    return QuiverSpec(2, tuple((1, 2) for _ in range(r)), (n, m), (v - 1, u - 1))
-
-
 def double_det_generators(m, n, r, u, v, field=QQ):
     layout = build_layout(double_det_spec(m, n, r, u, v))
     return layout, natural_generators(layout, field)
@@ -205,6 +197,8 @@ def witness_tensor(m, n, r, u, v, w):
     _triple_bounds(m, n, r, u, v, w)
     if (u - 1) * (v - 1) <= w - 1:
         raise InputError("no witness exists: (u-1)(v-1) <= w-1")
+
+    from fractions import Fraction  # loaded only by a run that makes one
 
     def entry(idx):
         i, j, k = idx

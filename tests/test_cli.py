@@ -129,6 +129,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--quiver", q)
         assert code == 2 and out == "" and f"unknown variable {name!r}" in err
 
+    def test_repeated_order_file_line_refused(self, capsys, tmp_path):
+        q = order_quiver(tmp_path, False)
+        order = tmp_path / "order.txt"
+        order.write_text(order.read_text() + "x[1,1,1] 0\n")
+        code, out, err = run(capsys, "check", "--quiver", q)
+        assert code == 2 and out == ""
+        assert "order file line 10: duplicate variable 'x[1,1,1]'" in err
+
     @pytest.mark.parametrize("verb", ["check", "gens", "init-ideal"])
     def test_reversed_order_file_refused(self, capsys, tmp_path, verb):
         code, out, err = run(capsys, verb, "--quiver", order_quiver(tmp_path, True))
@@ -505,14 +513,56 @@ class TestBadFiles:
         assert code == 2 and out == "" and f"cannot read {what} file" in err
 
 
+def python_probe(code, *args):
+    """The stdout of code run by a fresh interpreter that imports this
+    quivergb; -S keeps whatever site-packages load at start-up out of it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(quivergb.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
 def test_startup_imports_no_dataclass_machinery():
-    # the spans of the benchmark wrap functions in spair and tensors, so
-    # importing the CLI must load them; it must not load dataclasses or inspect
+    # the CLI puts spair and tensors in sys.modules, where the spans of the
+    # benchmark look for them, but neither has run (see TestLazyModules);
+    # it must not load dataclasses or inspect
     probe = ("import sys, quivergb.cli; "
              "print(*(m in sys.modules for m in "
              "('dataclasses', 'inspect', 'quivergb.spair', 'quivergb.tensors')))")
-    # -S keeps whatever site-packages load at start-up out of the count
-    env = dict(os.environ, PYTHONPATH=str(Path(quivergb.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.split() == ["False", "False", "True", "True"]
+    assert python_probe(probe).split() == ["False", "False", "True", "True"]
+
+
+class TestLazyModules:
+    """A verb runs only the modules it needs: the CLI loads spair and tensors
+    on first use, and fractions is loaded where a Fraction is made."""
+
+    # After main(argv): whether spair and tensors have run, each told by a
+    # name it defines, read from its own __dict__ past its __getattribute__
+    # so that the probe does not load it; and whether fractions is loaded.
+    PROBE = """if True:
+        import sys
+        from quivergb.cli import main
+        main(sys.argv[1:])
+        for name, defined in (("spair", "Certifier"), ("tensors", "Tensor")):
+            print(defined in object.__getattribute__(sys.modules["quivergb." + name], "__dict__"))
+        print("fractions" in sys.modules)
+    """
+
+    def ran(self, *argv):
+        return python_probe(self.PROBE, *argv).split()[-3:]
+
+    def test_check_runs_neither(self, quiver_file):
+        assert self.ran("check", "--quiver", quiver_file) == ["False", "False", "False"]
+        assert self.ran(*PENCIL_22222, "check") == ["False", "False", "False"]
+
+    def test_indep_does_not_run_spair(self):
+        spair_ran, tensors_ran, _ = self.ran("indep", "--shape", "2,2",
+                                             "--statements", "1_2")
+        assert (spair_ran, tensors_ran) == ("False", "True")
+
+    def test_certify_runs_spair(self):
+        assert self.ran(*PENCIL_22222, "certify")[:2] == ["True", "False"]
+
+    def test_a_loaded_module_is_reused(self):
+        probe = ("import quivergb.spair, quivergb.cli; "
+                 "print(quivergb.cli.spair is quivergb.spair, type(quivergb.spair).__name__)")
+        assert python_probe(probe).split() == ["True", "module"]

@@ -1,18 +1,22 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivergb.groebner import (
-    buchberger_check, buchberger_complete, ideal_membership,
+    CheckReport, buchberger_check, buchberger_complete, ideal_membership,
     initial_ideal_gens, is_squarefree,
 )
 from quivergb.layout import default_order
 from quivergb.minors import natural_generators
 from quivergb.poly import (
     DomainError, OrderSpec, PreparedBasis, leading_term, mono_from,
-    poly_mul, poly_sub, poly_var, render,
+    poly_mul, poly_sub, poly_var, reduce, render, s_polynomial,
 )
 from quivergb.tensors import double_det_generators
+
+from conftest import FOUR_VERTEX, make_instance
 
 
 def polys_of(layout):
@@ -83,6 +87,119 @@ class TestCheck:
         assert full.complete and len(full.failures) == 2
         with pytest.raises(AttributeError):
             report.complete = True
+
+
+def reference_check(G, ord, *, coprime_skip=True, fail_fast=False):
+    """buchberger_check as the exhaustive loop: every S-pair, formed and
+    divided unpacked, reduced by G in pair-index order."""
+    basis = PreparedBasis(G, ord)
+    n = len(G)
+    skipped = zero = 0
+    failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if coprime_skip and basis.lvars[i].isdisjoint(basis.lvars[j]):
+                skipped += 1
+                continue
+            rem, _ = reduce(s_polynomial(G[i], G[j], ord), basis, ord)
+            if rem.is_zero():
+                zero += 1
+            else:
+                failures.append((i, j, rem))
+                if fail_fast:
+                    return CheckReport(n * (n - 1) // 2, skipped, zero, failures, False)
+    return CheckReport(n * (n - 1) // 2, skipped, zero, failures, True)
+
+
+def assert_agrees_with_reference(G, ord, skips=(True, False)):
+    """The same report with and without fail_fast, under each coprime_skip
+    of skips (False, which reduces every pair, costs most)."""
+    for coprime_skip in skips:
+        for fail_fast in (False, True):
+            flags = {"coprime_skip": coprime_skip, "fail_fast": fail_fast}
+            assert buchberger_check(G, ord, **flags) == reference_check(G, ord, **flags), flags
+
+
+def consistent_order(layout, rng):
+    """A random linear extension of the order that ranks every matrix entry
+    above its right and lower neighbours."""
+    below = {v: set() for v in range(layout.nvars)}
+    for grid in layout.matrices.values():
+        for p, row in enumerate(grid):
+            for q, v in enumerate(row):
+                below[v].update(row[q + 1:q + 2])
+                if p + 1 < len(grid):
+                    below[v].add(grid[p + 1][q])
+    above = {v: 0 for v in below}
+    for ws in below.values():
+        for w in ws:
+            above[w] += 1
+    ready = [v for v in sorted(above) if not above[v]]
+    rank = {}
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        rank[v] = len(rank)
+        for w in sorted(below[v]):
+            above[w] -= 1
+            if not above[w]:
+                ready.append(w)
+    return OrderSpec(rank)
+
+
+def x_y_z_w():
+    return OrderSpec({0: 0, 1: 1, 2: 2, 3: 3}), [poly_var(v) for v in range(4)]
+
+
+class TestProofBySpanningPairs:
+    """buchberger_check proves a basis from a spanning set of its S-pairs;
+    its report is always the exhaustive loop's."""
+
+    @pytest.mark.parametrize("dims", [(3, 3, 2, 2, 2), (3, 3, 3, 2, 2)])
+    def test_rungs(self, dims):
+        layout, gens = double_det_generators(*dims)
+        assert_agrees_with_reference([p for _, p in gens], default_order(layout), skips=(True,))
+
+    def test_four_vertex_quiver_under_several_orders(self):
+        layout, _ = make_instance(FOUR_VERTEX)
+        G = polys_of(layout)
+        rng = random.Random(23)
+        for _ in range(3):
+            ord = consistent_order(layout, rng)
+            assert buchberger_check(G, ord).is_groebner
+            assert_agrees_with_reference(G, ord, skips=(True,))
+        ranks = list(range(layout.nvars))
+        for _ in range(3):  # arbitrary orders, under which the minors are mostly no basis
+            rng.shuffle(ranks)
+            assert_agrees_with_reference(G, OrderSpec(dict(enumerate(ranks))), skips=(True,))
+
+    def test_non_bases(self):
+        ord, (x, y, z, w) = x_y_z_w()
+        G = [poly_sub(poly_mul(x, y), z), poly_sub(poly_mul(x, z), w)]
+        assert_agrees_with_reference(G, ord)
+        assert_agrees_with_reference(G + [poly_sub(poly_mul(y, w), z)], ord)
+        # a leading monomial that is not squarefree
+        assert_agrees_with_reference([poly_sub(poly_mul(x, x), y), poly_sub(poly_mul(x, y), z)], ord)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2, 2, 2, 2), (2, 3, 2, 2, 2), (3, 3, 2, 2, 2)]), st.data())
+    def test_subsets_of_natural_generators(self, dims, data):
+        layout, gens = double_det_generators(*dims)
+        G = [p for _, p in gens]
+        keep = data.draw(st.lists(st.integers(0, len(G) - 1), min_size=2, max_size=12,
+                                  unique=True))
+        assert_agrees_with_reference([G[k] for k in keep], default_order(layout))
+
+    def test_fewer_divisions_than_overlapping_pairs(self, monkeypatch):
+        layout, gens = double_det_generators(3, 3, 3, 2, 2)
+        divide, calls = PreparedBasis._divide, []
+
+        def counted(self, work):
+            calls.append(1)
+            return divide(self, work)
+        monkeypatch.setattr(PreparedBasis, "_divide", counted)
+        report = buchberger_check([p for _, p in gens], default_order(layout))
+        assert report.is_groebner and report.reduced_to_zero == 2886
+        assert len(calls) < 2886
 
 
 class TestInitialIdeal:

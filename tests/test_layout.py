@@ -123,6 +123,16 @@ class TestOrders:
         with pytest.raises(InputError, match=re.escape(f"line 1: unknown variable {name!r}")):
             parse_order_file(layout, text)
 
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_order_file_refuses_a_repeated_variable(self, rank):
+        # every variable ranked once, then x[1,1,1] again: with rank 0 the
+        # ranks would still be a permutation
+        layout = build_layout(parse_quiver("vertices 2\narrow 1 2\nm 2 2\nrank 1 1\n"))
+        text = "".join(f"{layout.var_name(v)} {v}\n" for v in range(layout.nvars))
+        with pytest.raises(InputError, match=re.escape(
+                f"order file line {layout.nvars + 1}: duplicate variable 'x[1,1,1]'")):
+            parse_order_file(layout, text + f"x[1,1,1] {rank}\n")
+
     def test_order_file_refuses_a_malformed_rank(self):
         layout = build_layout(parse_quiver("vertices 2\narrow 1 2\nm 2 2\nrank 1 1\n"))
         with pytest.raises(InputError, match="line 1: malformed"):
