@@ -48,15 +48,14 @@ def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
     Otherwise the S-pairs are reduced one after another, which gives the
     failures."""
     basis = prepared(G, ord)
-    lvars = basis.lvars
-    n = len(lvars)
+    masks = [_mask(lm) for lm in basis.lms]
+    n = len(masks)
     total = n * (n - 1) // 2
+    pairs = [(i, j) for i, a in enumerate(masks) for j in range(i + 1, n)
+             if not coprime_skip or a & masks[j]]
     if coprime_skip and is_squarefree(basis.lms):
-        proof, overlapping = _spanning_pairs(lvars)
-        if not basis.s_pair_remainders(proof, first=True):
-            return CheckReport(total, total - overlapping, overlapping, [], True)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if not (coprime_skip and lvars[i].isdisjoint(lvars[j]))]
+        if not basis.s_pair_remainders(_spanning_pairs(masks, pairs), first=True):
+            return CheckReport(total, total - len(pairs), len(pairs), [], True)
     found = basis.s_pair_remainders(pairs, first=fail_fast)
     failures = [(*pairs[k], rem) for k, rem in found]
     if fail_fast and found:
@@ -67,10 +66,15 @@ def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
     return CheckReport(total, total - len(pairs), len(pairs) - len(failures), failures, True)
 
 
-def _spanning_pairs(lvars):
-    """The overlapping pairs that need reducing, and the number of pairs
-    that overlap, for generators whose leading monomials are squarefree,
-    given by their variable sets lvars.
+def _mask(lm):
+    """The variables of the monomial lm as a bit mask: two monomials are
+    coprime when their masks share no bit."""
+    return sum(1 << v for v, _ in lm)
+
+
+def _spanning_pairs(masks, pairs):
+    """The pairs to reduce among pairs, the overlapping pairs of generators
+    whose leading monomials are squarefree and have the bit masks masks.
 
     This is Buchberger's chain criterion (Gebauer and Moeller, J. Symb.
     Comput. 6, 1988): G is a Groebner basis when the S-polynomials reduce to
@@ -82,38 +86,34 @@ def _spanning_pairs(lvars):
     whose ends a path joins is the sum of those along the path, so only the
     L-pairs that join two components are kept, in pair-index order.  A
     monomial is a bit mask of its variables here."""
-    masks = [sum(1 << v for v in vs) for vs in lvars]
-    n = len(masks)
     by_lcm = {}  # L -> its overlapping pairs, in pair-index order
-    for i, a in enumerate(masks):
-        for j in range(i + 1, n):
-            b = masks[j]
-            if a & b:
-                L = a | b
-                if L in by_lcm:
-                    by_lcm[L].append((i, j))
-                else:
-                    by_lcm[L] = [(i, j)]
+    for pair in pairs:
+        i, j = pair
+        L = masks[i] | masks[j]
+        if L in by_lcm:
+            by_lcm[L].append(pair)
+        else:
+            by_lcm[L] = [pair]
     with_lm = {}  # leading monomial -> the generators that have it
     for k, a in enumerate(masks):
         with_lm.setdefault(a, []).append(k)
     kept = []
-    for L, pairs in by_lcm.items():
-        ends = {k for pair in pairs for k in pair}
+    for L, lcm_pairs in by_lcm.items():
+        ends = {k for pair in lcm_pairs for k in pair}
         if any(k not in ends for d in _divisors(L, with_lm) for k in with_lm[d]):
             continue  # a divisor in no L-pair joins every other: one component
         # The divisors of L are the ends; each two that are not an L-pair are joined.
         root = {k: k for k in ends}
-        ends, lcm_pairs = sorted(ends), set(pairs)
+        ends, joined = sorted(ends), set(lcm_pairs)
         for x, a in enumerate(ends):
             for b in ends[x + 1:]:
-                if (a, b) not in lcm_pairs:
+                if (a, b) not in joined:
                     _join(root, a, b)
-        for pair in pairs:
+        for pair in lcm_pairs:
             if _join(root, *pair):
                 kept.append(pair)
     kept.sort()
-    return kept, sum(map(len, by_lcm.values()))
+    return kept
 
 
 def _divisors(L, monos):
@@ -179,18 +179,19 @@ def buchberger_complete(F, ord):
         if f.is_zero():
             raise DomainError("zero polynomial in input")
         basis.append(_monic(f, ord))
-    G, lvars = basis.polys, basis.lvars
+    G, masks = basis.polys, [_mask(lm) for lm in basis.lms]
     queue = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     head = 0
     while head < len(queue):
         i, j = queue[head]
         head += 1
-        if lvars[i].isdisjoint(lvars[j]):
+        if not masks[i] & masks[j]:
             continue
-        rem = basis.s_pair_remainder(i, j)
-        if rem.is_zero():
+        found = basis.s_pair_remainders([(i, j)])
+        if not found:
             continue
-        basis.append(_monic(rem, ord))
+        basis.append(_monic(found[0][1], ord))
+        masks.append(_mask(basis.lms[-1]))
         new = len(G) - 1
         queue.extend((k, new) for k in range(new))
     return G

@@ -458,11 +458,10 @@ class PreparedBasis:
     """The generators of a division, with what every division by them needs
     worked out once, and the division engine that uses it.
 
-    Kept per generator: the polynomial, its leading monomial and that
-    monomial's variable set (for coprimality tests), and its packed form by
-    the basis's MonomialCodec, whose ``lm`` is the packed leading monomial.
-    Every generator has the basis's characteristic ``char``, which its first
-    generator sets.
+    Kept per generator: the polynomial, its leading monomial, and its packed
+    form by the basis's MonomialCodec, whose ``lm`` is the packed leading
+    monomial.  Every generator has the basis's characteristic ``char``, which
+    its first generator sets.
 
     An anchor index files each generator under the top field of its leading
     monomial, ``bit_length() // width``, or under None when that is 1.
@@ -472,14 +471,13 @@ class PreparedBasis:
     empties both and the next division packs every generator again.
     """
 
-    __slots__ = ("polys", "ord", "char", "lms", "lvars", "codec", "_packed", "_anchored")
+    __slots__ = ("polys", "ord", "char", "lms", "codec", "_packed", "_anchored")
 
     def __init__(self, G, ord):
         self.polys = []
         self.ord = ord
         self.char = 0
         self.lms = []  # the leading monomial of each generator
-        self.lvars = []  # frozenset of the variables of each leading monomial
         self.codec = MonomialCodec(ord)
         self._packed = self.codec.cache()  # index -> packed form of the generator
         self._anchored = self.codec.cache()  # top field of lm, or None -> [(index, lm)], ascending
@@ -497,9 +495,7 @@ class PreparedBasis:
         self.char = g.char
         self.polys.append(g)
         self.codec.run(self._pack)
-        lm = self.codec.unpack(self._packed[len(self.polys) - 1][1])
-        self.lms.append(lm)
-        self.lvars.append(mono_vars(lm))
+        self.lms.append(self.codec.unpack(self._packed[len(self.polys) - 1][1]))
 
     def _pack(self):
         """Pack and file every generator not packed yet: all of them after a
@@ -630,11 +626,6 @@ class PreparedBasis:
                 if first:
                     break
         return found
-
-    def s_pair_remainder(self, i, j):
-        """The remainder of S(G[i], G[j]) divided by the basis; see s_pair_remainders()."""
-        found = self.s_pair_remainders([(i, j)])
-        return found[0][1] if found else Polynomial(char=self.char)
 
 
 def prepared(G, ord):

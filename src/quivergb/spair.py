@@ -27,9 +27,9 @@ from operator import lt
 from types import MappingProxyType
 
 from .poly import (
-    QQ, DomainError, InputError, MonomialCodec, Overflow, Polynomial, leading_term,
-    mono_divides, mono_from, mono_lcm, mono_mul, mono_vars, packed_s_polynomial,
-    poly_add, poly_scale, poly_sub, render_monomial, require,
+    QQ, DomainError, InputError, MonomialCodec, Overflow, Polynomial, mono_divides,
+    mono_from, mono_lcm, mono_vars, packed_s_polynomial, poly_add, poly_scale,
+    poly_sub, render_monomial, require,
 )
 from .minors import (
     MinorRef, PseudoMinorRef, ensure_consistent, expand_minor,
@@ -303,16 +303,6 @@ def expand_decomposition(layout, d, field=QQ):
     return acc
 
 
-def _term_leading_monomial(layout, t, ord, field):
-    """LM of expand_term(layout, t, field) without forming the product, or
-    None for a zero pseudominor: a ranked lex order is multiplicative and the
-    sign is a unit, so the leading monomial is the cofactor times LM(pm)."""
-    p = expand_pseudominor(layout, t.pm, field)
-    if p.is_zero():
-        return None
-    return mono_mul(t.cofactor, leading_term(p, ord)[1])
-
-
 # ---------------------------------------------------------------------------
 # violations and defects
 
@@ -490,60 +480,6 @@ def transplant(layout, M, N, defect, ord):
     require(d_mp > 0 and d_pn > 0, "transplant does not lie strictly between the pair")
     require(d_mp + d_pn == distance(layout, M, N, ord),
             "transplant distances do not add up")
-    return P
-
-
-def maximal_violation(layout, M, N, ord):
-    """The canonical maximal violation of (M, N), or None.
-
-    Chooses the lexicographically least support positions (j, k) among all
-    violations, then replaces the incidence by the first one below j (equally
-    the first below k), which is again a violation.
-    """
-    an = analyze(layout, M, N, ord)
-    viols = violations_of(an)
-    if not viols:
-        return None
-    m_list, n_list = _support_lists(an)
-    best = min((m_list.index(v.i), n_list.index(v.j)) for v in viols)
-    j, k = best
-    w1 = _first_incidence_after(an, m_list, j)
-    w2 = _first_incidence_after(an, n_list, k)
-    require(w1 is not None and w2 is not None and m_list[w1] == n_list[w2],
-            "first incidences after a minimal violation must coincide")
-    v = _violates(an, m_list[j], n_list[k], m_list[w1])
-    require(v is not None, "incidence swap must preserve the violation")
-    return v
-
-
-def cross_transplant(layout, M, N, viol, ord):
-    if M.vertex == N.vertex:
-        raise InputError("cross transplant needs minors of two different matrices")
-    an = analyze(layout, M, N, ord)
-    m_list, n_list = _support_lists(an)
-    u = len(m_list) - 1
-    j = m_list.index(viol.i)
-    k = n_list.index(viol.j)
-    w1 = _first_incidence_after(an, m_list, j)
-    w2 = _first_incidence_after(an, n_list, k)
-    if m_list[w1] != viol.k or n_list[w2] != viol.k:
-        raise InputError("violation is not maximal: its incidence is not the first below (j,k)")
-    for v2 in violations_of(an):
-        j2, k2 = m_list.index(v2.i), n_list.index(v2.j)
-        if j2 <= j and k2 <= k and (j2, k2) != (j, k) and v2.k == viol.k:
-            raise InputError("violation is not maximal: a smaller (j,k) exists")
-    if w1 - j > w2 - k:
-        raise InputError("w1-j exceeds w2-k: swap the roles of M and N first")
-    chosen = m_list[1:j] + n_list[k:k + (w1 - j)] + m_list[w1:]
-    require(len(chosen) == u, "cross transplant changed the minor size")
-    pts = [an.points[i - 1] for i in chosen]
-    P = _ref_from_points(layout, an.M.vertex, pts)
-    lm_p = minor_leading_term(layout, P, ord)
-    require(mono_divides(lm_p, an.L),
-            "cross transplant leading term does not divide the lcm")
-    require(distance(layout, P, an.N, ord)
-            == distance(layout, an.M, an.N, ord) - 2 * (w1 - j),
-            "cross transplant does not shorten the distance")
     return P
 
 

@@ -10,7 +10,7 @@ from itertools import combinations, product
 from math import prod
 
 from .poly import (
-    QQ, InputError, OrderSpec, PreparedBasis, poly_neg, poly_var, require,
+    QQ, InputError, OrderSpec, PreparedBasis, inverse, poly_neg, poly_var, require,
 )
 from .layout import build_layout, default_order, double_det_spec
 from .minors import det_poly_matrix, natural_generators
@@ -111,32 +111,24 @@ def flatten(X, j):
 
 
 def parse_tensor(text):
-    """Line 1: ``shape a1 a2 ... an``; then entries in row-major order."""
-    lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
-    body = " ".join(lines).split()
-    if not body or body[0] != "shape":
+    """Line 1: ``shape a1 a2 ... an`` alone; every token after it is an
+    entry, in row-major order.  ``#`` starts a comment."""
+    lines = [ln.split("#", 1)[0].split() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines or lines[0][0] != "shape":
         raise InputError("tensor file must start with a shape line")
-    shape = []
-    pos = 1
-    while pos < len(body):
-        try:
-            shape.append(int(body[pos]))
-        except ValueError:
-            break
-        pos += 1
-    # the entries may be integers too, so the shape is the shortest prefix
-    # of the leading integers whose product is the count of tokens after it
+    try:
+        shape = [int(tok) for tok in lines[0][1:]]
+    except ValueError:
+        raise InputError("the shape line holds only integers") from None
     if not shape:
         raise InputError("empty shape")
-    for n in range(1, len(shape) + 1):
-        if len(body) - 1 - n == prod(shape[:n]):
-            from fractions import Fraction  # loaded only by a run that makes one
-            try:
-                vals = [Fraction(tok) for tok in body[1 + n:]]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad tensor entry: {exc}") from None
-            return Tensor(tuple(shape[:n]), vals)
-    raise InputError("entry count does not match any shape prefix")
+    from fractions import Fraction  # loaded only by a run that makes one
+    try:
+        vals = [Fraction(tok) for ln in lines[1:] for tok in ln]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad tensor entry: {exc}") from None
+    return Tensor(shape, vals)
 
 
 def render_tensor(X):
@@ -148,7 +140,8 @@ def render_tensor(X):
 # exact linear algebra
 
 def matrix_rank(M):
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
+    """Rank over the rationals by exact Gaussian elimination; every pivot is
+    divided by through poly.inverse, so int entries never become floats."""
     rows = [list(r) for r in M]
     if not rows or not rows[0]:
         return 0
@@ -161,10 +154,10 @@ def matrix_rank(M):
             col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
+        inv = inverse(rows[rank][col])
         for r in range(rank + 1, len(rows)):
             if rows[r][col]:
-                f = rows[r][col] / pv
+                f = rows[r][col] * inv
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
         col += 1

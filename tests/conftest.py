@@ -28,8 +28,8 @@ def reference_step_verdict(layout, F, G, d, ord, field):
     for t in d.row_terms + d.col_terms:
         if len(t.pm.rows) != layout.minor_size(t.pm.vertex):
             return False
-        m = spair._term_leading_monomial(layout, t, ord, field)
-        if m is not None and not ord.key(m) < key_l:
+        p = spair.expand_term(layout, t, field)
+        if not p.is_zero() and not ord.key(leading_term(p, ord)[1]) < key_l:
             return False
     return True
 

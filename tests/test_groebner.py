@@ -11,7 +11,7 @@ from quivergb.groebner import (
 from quivergb.layout import default_order
 from quivergb.minors import natural_generators
 from quivergb.poly import (
-    DomainError, OrderSpec, PreparedBasis, leading_term, mono_from,
+    DomainError, OrderSpec, PreparedBasis, leading_term, mono_from, mono_vars,
     poly_mul, poly_sub, poly_var, reduce, render, s_polynomial,
 )
 from quivergb.tensors import double_det_generators
@@ -93,12 +93,13 @@ def reference_check(G, ord, *, coprime_skip=True, fail_fast=False):
     """buchberger_check as the exhaustive loop: every S-pair, formed and
     divided unpacked, reduced by G in pair-index order."""
     basis = PreparedBasis(G, ord)
+    lvars = [mono_vars(leading_term(g, ord)[1]) for g in G]
     n = len(G)
     skipped = zero = 0
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
-            if coprime_skip and basis.lvars[i].isdisjoint(basis.lvars[j]):
+            if coprime_skip and lvars[i].isdisjoint(lvars[j]):
                 skipped += 1
                 continue
             rem, _ = reduce(s_polynomial(G[i], G[j], ord), basis, ord)

@@ -42,10 +42,11 @@ class TestMonomials:
 
     def test_lcm_and_gcd(self):
         assert mono_lcm(m((0, 2)), m((0, 1), (1, 3))) == m((0, 2), (1, 3))
-        lvars = PreparedBasis([Polynomial({m((0, 1)): 1}), Polynomial({m((1, 1)): 1}),
-                               Polynomial({m((0, 1)): 1})], ORD3).lvars
-        assert lvars[0].isdisjoint(lvars[1])
-        assert not lvars[0].isdisjoint(lvars[2])
+        lms = PreparedBasis([Polynomial({m((0, 1)): 1}), Polynomial({m((1, 1)): 1}),
+                             Polynomial({m((0, 1)): 1})], ORD3).lms
+        assert lms == [m((0, 1)), m((1, 1)), m((0, 1))]
+        assert mono_vars(lms[0]).isdisjoint(mono_vars(lms[1]))
+        assert not mono_vars(lms[0]).isdisjoint(mono_vars(lms[2]))
 
     def test_order_key_is_lex(self):
         # rank 0 is the largest variable
@@ -229,7 +230,7 @@ class TestDivisionProperties:
         assert acc == f
         lms = [leading_term(g, ord)[1] for g in G]
         basis = PreparedBasis(G, ord)
-        assert all(basis.lvars[i] == mono_vars(lm) for i, lm in enumerate(lms))
+        assert basis.lms == lms
         assert not any(mono_divides(lm, mo) for mo in rem.terms for lm in lms)
         reduced = [ord.key(mono_mul(mo, lms[idx])) for (_, mo), idx in used]
         assert all(a > b for a, b in zip(reduced, reduced[1:]))
@@ -413,7 +414,7 @@ class TestPackedDivision:
         G = [poly_of((1, {0: 1, 1: 100}), (-1, {1: 110})), poly_of((1, {1: 120}), (-1, {2: 1}))]
         basis = PreparedBasis(G, ORD3)
         assert basis.codec.width == 8
-        rem = basis.s_pair_remainder(0, 1)
+        [(_, rem)] = basis.s_pair_remainders([(0, 1)])
         assert basis.codec.width == 16
         assert rem == poly_of((1, {0: 1, 2: 1}), (-1, {1: 10, 2: 1}))
         assert rem == reduce(s_polynomial(G[0], G[1], ORD3), G, ORD3)[0]
@@ -427,7 +428,8 @@ class TestPackedDivision:
             S = s_polynomial(G[i], G[j], ord)
             packed = basis._s_polynomial(i, j)
             assert Polynomial({basis.codec.unpack(mo): c for mo, c in packed.items()}, S.char) == S
-            assert basis.s_pair_remainder(i, j) == reduce(S, basis, ord)[0]
+            rem = reduce(S, basis, ord)[0]
+            assert basis.s_pair_remainders([(i, j)]) == ([] if rem.is_zero() else [(0, rem)])
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([QQ, PrimeField(7)]), st.permutations(range(NVARS)),

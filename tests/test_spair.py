@@ -1,9 +1,8 @@
 import hashlib
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quivergb.minors import (
     MinorRef, PseudoMinorRef, enumerate_minors, expand_minor,
@@ -11,7 +10,7 @@ from quivergb.minors import (
 )
 from quivergb.poly import (
     QQ, DomainError, InputError, OrderSpec, PrimeField, leading_term, mono_div,
-    mono_divides, mono_from, mono_lcm, s_polynomial,
+    mono_from, mono_lcm, s_polynomial,
 )
 from quivergb import spair
 from quivergb.layout import default_order
@@ -297,36 +296,6 @@ class TestDistance:
         assert spair.distance(layout, a, b, ord) == 4
 
 
-class TestCrossTransplant:
-    def test_all_violating_cross_pairs(self, single_3x3):
-        layout, ord = single_3x3
-        sinks = enumerate_minors(layout, 2, 2)
-        sources = enumerate_minors(layout, 1, 2)
-        hit = 0
-        for A, B in product(sinks, sources):
-            v = spair.maximal_violation(layout, A, B, ord)
-            if v is None:
-                continue
-            an = spair.analyze(layout, A, B, ord)
-            try:
-                P = spair.cross_transplant(layout, A, B, v, ord)
-            except InputError as exc:
-                assert "swap" in str(exc)
-                continue
-            hit += 1
-            lm = minor_leading_term(layout, P, ord)
-            assert mono_divides(lm, an.L)
-            assert spair.distance(layout, P, an.N, ord) < \
-                spair.distance(layout, an.M, an.N, ord)
-        assert hit > 0
-
-    def test_same_matrix_refused(self, single_3x3):
-        layout, ord = single_3x3
-        v = spair.find_violations(layout, N3, M3, ord)[0]
-        with pytest.raises(InputError):
-            spair.cross_transplant(layout, N3, M3, v, ord)
-
-
 class TestChains:
     def test_trivial_chain(self, single_3x3):
         layout, ord = single_3x3
@@ -488,8 +457,9 @@ class TestRunCertifier:
         assert (len(steps), len(terms)) == (2000, 7186)
         for t in terms:
             m = run._lead(t)
+            p = spair.expand_term(layout, t, QQ)
             assert ((m if m is None else run.codec.unpack(m))
-                    == spair._term_leading_monomial(layout, t, ord, QQ))
+                    == (None if p.is_zero() else leading_term(p, ord)[1]))
 
 
 def step_mutants(layout, F, G, d, ord):
@@ -546,37 +516,7 @@ class TestPackedVerification:
         assert build.codec.width == 8
 
 
-MEMO_LAYOUT, _ = make_instance("vertices 2\narrow 1 2\narrow 1 2\nm 3 3\nrank 1 1\n")
-
-
-@st.composite
-def decomposition_terms(draw):
-    """(term, ord, field): a signed cofactor times a pseudominor of either
-    matrix, repeated rows and columns allowed, under a random ranked order."""
-    layout = MEMO_LAYOUT
-    vertex = draw(st.sampled_from(sorted(layout.matrices)))
-    nrows, ncols = layout.matrix_shape(vertex)
-    size = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.integers(1, nrows), min_size=size, max_size=size))
-    cols = draw(st.lists(st.integers(1, ncols), min_size=size, max_size=size))
-    cofactor = draw(st.lists(st.tuples(st.integers(0, layout.nvars - 1), st.integers(0, 2)),
-                             max_size=3).map(mono_from))
-    term = spair.DecompTerm(draw(st.sampled_from([1, -1])), cofactor,
-                            PseudoMinorRef(vertex, tuple(rows), tuple(cols)))
-    ranks = draw(st.permutations(range(layout.nvars)))
-    field = draw(st.sampled_from([QQ, PrimeField(7)]))
-    return term, OrderSpec(dict(enumerate(ranks))), field
-
-
 class TestMemos:
-    @settings(max_examples=200, deadline=None)
-    @given(decomposition_terms())
-    def test_term_leading_monomial_skips_the_product(self, problem):
-        term, ord, field = problem
-        p = spair.expand_term(MEMO_LAYOUT, term, field)
-        expected = None if p.is_zero() else leading_term(p, ord)[1]
-        assert spair._term_leading_monomial(MEMO_LAYOUT, term, ord, field) == expected
-
     @pytest.mark.parametrize("instance, field, pairs, digest", [
         (lambda: pencil_instance(3, 3, 2, 2, 2), QQ, 2556,
          "679f2c2e8f1cf18d71ddcf4fbdee650587b5b1e564702d71a684be28ad00a1e4"),

@@ -52,6 +52,8 @@ class TestTensorBasics:
             T.parse_tensor("2 2\n1 2 3 4")
         with pytest.raises(InputError):
             T.parse_tensor("shape 2 2\n1 2 3")
+        with pytest.raises(InputError):  # one entry too many is no 2x2x1 tensor
+            T.parse_tensor("shape 2 2\n1 2 3 4 5")
 
 
 class TestContractionScanFlatten:
@@ -146,6 +148,8 @@ class TestRank:
         assert T.matrix_rank([[F(2), F(10)], [F(4), F(12)]]) == 2
         assert T.matrix_rank([[F(0)] * 3] * 2) == 0
         assert T.matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
+        # int entries of determinant -1, where 10**17 / (10**17 + 1) is 1.0 as a float
+        assert T.matrix_rank([[10**17 + 1, 10**17], [10**17, 10**17 - 1]]) == 2
 
     def test_empty(self):
         assert T.matrix_rank([]) == 0
