@@ -75,12 +75,12 @@ def _load_layout(args):
     return layout, default_order(layout)
 
 
-def _gens(layout, ord, field, out):
+def _gens(layout, ord, field, args):
     text = "".join(f"{render_minor_spec(ref)} {render(poly, ord, layout.var_name)}\n"
                    for ref, poly in natural_generators(layout, field))
-    if out:
+    if args.out:
         try:
-            Path(out).write_text(text)
+            Path(args.out).write_text(text)
         except OSError as exc:
             raise InputError(f"cannot write output file: {exc}") from None
     else:
@@ -234,7 +234,7 @@ def _spair(layout, ord, field, args):
     return 0
 
 
-def _init_ideal(layout, ord, field):
+def _init_ideal(layout, ord, field, args):
     polys = [p for _, p in natural_generators(layout, field)]
     monos = initial_ideal_gens(polys, ord)
     for m in monos:
@@ -296,8 +296,7 @@ def _indep(args):
     return 0
 
 
-def _add_quiver_flags(p):
-    p.add_argument("--quiver", required=True, help="quiver config file")
+def _add_field_flag(p):
     p.add_argument("--field", type=int, default=0, metavar="P",
                    help="work over GF(P) instead of the rationals")
 
@@ -308,46 +307,56 @@ def _positive_int(text):
     return int(text)
 
 
-def _add_check_flags(p):
+def _check_flags(p):
     p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                    help="accepted for compatibility; selects nothing, the check is serial")
     p.add_argument("--no-coprime-skip", action="store_true")
     p.add_argument("--fail-fast", action="store_true")
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(prog="quivergb")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("gens", help="print the natural generators")
-    _add_quiver_flags(p)
-    p.add_argument("--out", help="write to file instead of stdout")
-
-    p = sub.add_parser("check", help="verify the Groebner property by S-pair reduction")
-    _add_quiver_flags(p)
-    _add_check_flags(p)
-
-    p = sub.add_parser("certify", help="chain certificates per generator pair")
-    _add_quiver_flags(p)
-    p.add_argument("--pairs", default="all", help="'all' or 'i,j'")
-
-    p = sub.add_parser("spair", help="S-polynomial and decomposition of two minors")
-    _add_quiver_flags(p)
+def _spair_flags(p):
     p.add_argument("--m1", required=True, help="minor spec vertex:r1,..;c1,..")
     p.add_argument("--m2", required=True)
     p.add_argument("--decompose", action="store_true")
 
-    p = sub.add_parser("init-ideal", help="initial ideal generators")
-    _add_quiver_flags(p)
+
+# The verbs run on a layout, each a --quiver verb and, but for spair, a verb
+# of double: verb -> (help, adds its own flags, handler(layout, ord, field, args)).
+_LAYOUT_VERBS = {
+    "gens": ("print the natural generators",
+             lambda p: p.add_argument("--out", help="write to file instead of stdout"), _gens),
+    "check": ("verify the Groebner property by S-pair reduction", _check_flags, _check),
+    "certify": ("chain certificates per generator pair",
+                lambda p: p.add_argument("--pairs", default="all", help="'all' or 'i,j'"),
+                _certify),
+    "spair": ("S-polynomial and decomposition of two minors", _spair_flags, _spair),
+    "init-ideal": ("initial ideal generators", lambda p: None, _init_ideal),
+}
+
+
+def _add_layout_verb(sub, verb):
+    """The parser of a layout verb, with --field and the verb's own flags."""
+    about, add_flags, _ = _LAYOUT_VERBS[verb]
+    p = sub.add_parser(verb, help=about)
+    _add_field_flag(p)
+    add_flags(p)
+    return p
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(prog="quivergb")
+    sub = ap.add_subparsers(dest="verb", required=True)
+
+    for verb in _LAYOUT_VERBS:
+        _add_layout_verb(sub, verb).add_argument("--quiver", required=True,
+                                                 help="quiver config file")
 
     p = sub.add_parser("double", help="double determinantal shorthand")
     for flag in "mnruv":
         p.add_argument(f"--{flag}", type=int, required=True)
-    p.add_argument("subverb", choices=["gens", "check", "certify", "init-ideal"])
-    p.add_argument("--field", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--pairs", default="all")
-    _add_check_flags(p)
+    dsub = p.add_subparsers(dest="subverb", required=True)
+    for verb in ("gens", "check", "certify", "init-ideal"):
+        _add_layout_verb(dsub, verb)
 
     p = sub.add_parser("tensor", help="tensor utilities")
     tsub = p.add_subparsers(dest="tverb", required=True)
@@ -364,13 +373,13 @@ def build_parser():
     p = sub.add_parser("triple-eq", help="double vs triple ideal equality check")
     for flag in "mnruvw":
         p.add_argument(f"--{flag}", type=int, required=True)
-    p.add_argument("--field", type=int, default=0)
+    _add_field_flag(p)
 
     p = sub.add_parser("indep", help="independence ideal generators")
     p.add_argument("--shape", required=True, help="comma-separated table shape")
     p.add_argument("--statements", required=True,
                    help="comma-separated: a_b | a|rest | a_b|c | a|rest:s")
-    p.add_argument("--field", type=int, default=0)
+    _add_field_flag(p)
 
     return ap
 
@@ -382,22 +391,12 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.verb in ("gens", "check", "certify", "spair", "init-ideal", "double"):
-            layout, ord = _load_layout(args)
-            field = _field_of(args)
-            verb = args.subverb if args.verb == "double" else args.verb
-            if verb == "gens":
-                return _gens(layout, ord, field, getattr(args, "out", None))
-            if verb == "check":
-                return _check(layout, ord, field, args)
-            if verb == "certify":
-                return _certify(layout, ord, field, args)
-            if verb == "spair":
-                return _spair(layout, ord, field, args)
-            return _init_ideal(layout, ord, field)
-        if args.verb == "tensor":
+        verb = args.subverb if args.verb == "double" else args.verb
+        if verb in _LAYOUT_VERBS:
+            return _LAYOUT_VERBS[verb][2](*_load_layout(args), _field_of(args), args)
+        if verb == "tensor":
             return _tensor(args)
-        if args.verb == "triple-eq":
+        if verb == "triple-eq":
             return _triple_eq(args)
         return _indep(args)
     except (InputError, DomainError) as exc:

@@ -481,7 +481,6 @@ class PreparedBasis:
         self.codec = MonomialCodec(ord)
         self._packed = self.codec.cache()  # index -> packed form of the generator
         self._anchored = self.codec.cache()  # top field of lm, or None -> [(index, lm)], ascending
-        self._pack()
         for g in G:
             self.append(g)
 
@@ -584,20 +583,19 @@ class PreparedBasis:
                         heappush(heap, -mm)
         return work, used
 
-    def _step(self, make_work, *args):
-        """_divide(make_work(*args)) at the codec's current width, for
+    def _divide_poly(self, f):
+        """_divide of the polynomial f at the codec's current width, for
         codec.run: the generators are packed again first if a widening
         emptied their packed forms."""
         self._pack()
-        return self._divide(make_work(*args))
+        return self._divide(dict(self.codec.packed(f)[0]) if f.terms else {})
 
     def divide(self, f):
         """(remainder, used) of the polynomial f divided by the basis; see reduce()."""
         char = self.char if self.polys else f.char
         if f.terms and f.char != char:
             raise DomainError("mixed prime fields")
-        packed = self.codec.packed
-        work, used = self.codec.run(self._step, lambda: dict(packed(f)[0]) if f.terms else {})
+        work, used = self.codec.run(self._divide_poly, f)
         unpack = self.codec.unpack
         return (Polynomial({unpack(m): c for m, c in work.items()}, char),
                 [((c, unpack(m)), idx) for c, m, idx in used])

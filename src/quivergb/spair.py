@@ -192,15 +192,9 @@ DecompTerm = namedtuple("DecompTerm", "sign cofactor pm")
 Decomposition = namedtuple("Decomposition", "M N row_terms col_terms")
 
 
-def _orientation_ok(an):
-    if an.mode == "matrix":
-        return True
-    roles = an.layout.roles
-    return roles[an.M.vertex] == "sink" and roles[an.N.vertex] == "source"
-
-
 def _require_orientation(an):
-    if not _orientation_ok(an):
+    roles = an.layout.roles
+    if an.mode != "matrix" and (roles[an.M.vertex], roles[an.N.vertex]) != ("sink", "source"):
         raise DomainError(
             "pseudominor decomposition is defined with the sink-side minor first; "
             "swap the pair")

@@ -252,13 +252,11 @@ def triple_eq_check(m, n, r, u, v, w, field=QQ):
         ord = default_order(layout)
         basis = PreparedBasis([p for _, p in gens], ord)
         report = buchberger_check(basis, ord)
-        if not report.is_groebner:  # pragma: no cover - theorem
-            return TripleEqResult(True, False, {"reason": "basis check failed"})
         X = tensor_from_function((m, n, r), lambda idx: poly_var(layout.var_of[idx], field))
         extra = _poly_minors(flatten(X, 3), w)
         reduced = 0
         for g in extra:
-            if not ideal_membership(g, basis, ord, report):
+            if not report.is_groebner or not ideal_membership(g, basis, ord, report):
                 return TripleEqResult(True, False,
                                       {"reduced": reduced, "total": len(extra)})
             reduced += 1

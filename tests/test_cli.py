@@ -11,10 +11,11 @@ import pytest
 import quivergb
 from quivergb import minors, spair, tensors
 from quivergb.cli import main
+from quivergb.groebner import CheckReport
 from quivergb.layout import build_layout
-from quivergb.poly import DomainError, InputError
+from quivergb.poly import DomainError, InputError, poly_var
 
-from conftest import FOUR_VERTEX
+from conftest import FOUR_VERTEX, MIXED_SIZES
 
 
 KEY_Q = "vertices 2\narrow 1 2\nm 3 3\nrank 1 1\n"
@@ -186,6 +187,26 @@ class TestDouble:
         assert code == 0 and "mod" not in out
         assert out.splitlines()[0] == "1:1,2;1,2 +x[1,1,1]*x[2,2,1]+6*x[1,2,1]*x[2,1,1]"
 
+    def test_check_flags_follow_the_verb(self, capsys):
+        code, out, _ = run(capsys, *PENCIL_22222, "check", "--field", "7", "--threads", "2",
+                           "--no-coprime-skip", "--fail-fast")
+        assert code == 0
+        assert out == ("pairs: 45  coprime-skipped: 0  reduced-to-zero: 45  failures: 0\n"
+                       "verdict: GROEBNER\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gens", "--pairs", "1,2"],
+        ["check", "--out", "F"],
+        ["certify", "--threads", "3"],
+        ["init-ideal", "--fail-fast"],
+        ["--field", "7", "check"],
+        ["spair", "--m1", "1:1,2;1,2", "--m2", "1:1,2;1,3"],
+    ], ids=["gens-pairs", "check-out", "certify-threads", "init-ideal-fail-fast",
+            "field-before-verb", "spair"])
+    def test_flag_of_another_verb_refused(self, capsys, argv):
+        code, out, _ = run(capsys, *PENCIL_22222, *argv)
+        assert code == 2 and out == ""
+
     def test_cross_vertex_certificate_golden(self, capsys):
         # pins the step bodies, which the certify summary lines do not show
         code, out, _ = run(capsys, "double", "--m", "3", "--n", "3", "--r", "2",
@@ -223,6 +244,11 @@ class TestSpair:
             "rows: [+ x[1,2,1]*x[2,1,1] pm 4:1,2;1,2]\n"
             "cols: [+ x[1,2,4]*x[2,1,4] pm 3:1,2;1,2]\n"
             "identity true small-lts true\n")
+
+    def test_without_decompose_prints_only_s(self, capsys, quiver_file):
+        assert run(capsys, "spair", "--quiver", quiver_file,
+                   "--m1", "2:2,3;1,3", "--m2", "2:1,3;2,3") == (
+            0, "S -x[1,2,1]*x[2,3,1]*x[3,1,1]+x[1,3,1]*x[2,1,1]*x[3,2,1]\n", "")
 
     def test_bad_minor_spec(self, capsys, quiver_file):
         code, _, err = run(capsys, "spair", "--quiver", quiver_file,
@@ -382,6 +408,22 @@ class TestCertifyWidth:
         assert_no_children()
 
 
+class TestMixedMinorSizes:
+    """2-minors at one vertex and 3-minors at the other, in one pair list."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["check"], "pairs: 2080  coprime-skipped: 1411  reduced-to-zero: 669  failures: 0"),
+        (["check", "--no-coprime-skip"],
+         "pairs: 2080  coprime-skipped: 0  reduced-to-zero: 2080  failures: 0"),
+        (["certify"], "certified: 2080/2080"),
+    ], ids=["check", "no-coprime-skip", "certify"])
+    def test_counts(self, capsys, tmp_path, argv, line):
+        q = tmp_path / "mixed.q"
+        q.write_text(MIXED_SIZES)
+        code, out, _ = run(capsys, *argv, "--quiver", str(q))
+        assert code == 0 and line in out.splitlines()
+
+
 class TestInitIdeal:
     def test_squarefree(self, capsys, quiver_file):
         code, out, _ = run(capsys, "init-ideal", "--quiver", quiver_file)
@@ -435,6 +477,13 @@ class TestTripleEq:
                            "--u", "2", "--v", "2", "--w", "2", "--field", "7")
         assert code == 0
         assert out == "predicted equal\nreduced 6/6\nverified true\n"
+
+    def test_failed_basis_check_is_refuted(self, capsys, monkeypatch):
+        failing = CheckReport(1, 0, 0, [(0, 1, poly_var(0))], True)
+        monkeypatch.setattr(tensors, "buchberger_check", lambda basis, ord: failing)
+        assert run(capsys, "triple-eq", "--m", "3", "--n", "3", "--r", "2",
+                   "--u", "2", "--v", "2", "--w", "2") == (
+            1, "predicted equal\nreduced 0/36\nverified false\n", "")
 
     def test_bounds(self, capsys):
         code, _, err = run(capsys, "triple-eq", "--m", "2", "--n", "2", "--r", "2",

@@ -16,7 +16,7 @@ from quivergb.poly import (
 )
 from quivergb.tensors import double_det_generators
 
-from conftest import FOUR_VERTEX, make_instance
+from conftest import FOUR_VERTEX, MIXED_SIZES, make_instance
 
 
 def polys_of(layout):
@@ -172,6 +172,16 @@ class TestProofBySpanningPairs:
         for _ in range(3):  # arbitrary orders, under which the minors are mostly no basis
             rng.shuffle(ranks)
             assert_agrees_with_reference(G, OrderSpec(dict(enumerate(ranks))), skips=(True,))
+
+    def test_mixed_minor_sizes(self):
+        # a 2-minor and a 3-minor can share an lcm group with no L-pair
+        # through one of its divisors, which then joins every other
+        layout, ord = make_instance(MIXED_SIZES)
+        G = polys_of(layout)
+        assert_agrees_with_reference(G, ord, skips=(True,))
+        rng = random.Random(25)
+        for _ in range(2):
+            assert_agrees_with_reference(G, consistent_order(layout, rng), skips=(True,))
 
     def test_non_bases(self):
         ord, (x, y, z, w) = x_y_z_w()
