@@ -6,8 +6,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .poly import (
-    DomainError, PreparedBasis, inverse, leading_term, mono_divides,
-    mono_is_squarefree, poly_scale, prepared, reduce, render,
+    DomainError, Polynomial, PreparedBasis, inverse, leading_term, poly_scale,
+    prepared, reduce, render,
 )
 
 
@@ -142,22 +142,23 @@ def _join(root, a, b):
 
 
 def initial_ideal_gens(G, ord):
-    """Minimal (divisibility-reduced, deduplicated) set of leading monomials."""
-    lms = []
-    for g in G:
-        _, m = leading_term(g, ord)
-        if m not in lms:
-            lms.append(m)
-    out = []
-    for m in lms:
-        if any(other != m and mono_divides(other, m) for other in lms):
-            continue
-        out.append(m)
-    return out
+    """The minimal generators of the ideal of the leading monomials of G (a
+    list or a PreparedBasis), in the order they are first seen.
+
+    The distinct leading monomials go into a basis of their own, lowest
+    degree first, so every proper divisor of one sits at a lower index: a
+    monomial is minimal when its lowest-index divisor there is itself."""
+    lms = list(dict.fromkeys(prepared(G, ord).lms))
+    by_degree = sorted(lms, key=lambda m: sum(e for _, e in m))
+    index = PreparedBasis([Polynomial({m: 1}) for m in by_degree], ord)
+    # the first cofactor in dividing m is by m's lowest-index divisor
+    minimal = {m for k, m in enumerate(by_degree)
+               if index.divide(Polynomial({m: 1}))[1][0][1] == k}
+    return [m for m in lms if m in minimal]
 
 
 def is_squarefree(monos):
-    return all(mono_is_squarefree(m) for m in monos)
+    return all(e == 1 for m in monos for _, e in m)
 
 
 def ideal_membership(f, G, ord, report=None):

@@ -130,10 +130,6 @@ def mono_vars(a):
     return frozenset(v for v, _ in a)
 
 
-def mono_is_squarefree(a):
-    return all(e == 1 for _, e in a)
-
-
 class OrderSpec:
     """Ranked lexicographic monomial order. rank 0 = largest variable."""
 

@@ -311,8 +311,6 @@ def _violates(an, i, j, k):
         return None
     ai, aj, ak = an.alpha[i], an.alpha[j], an.alpha[k]
     bi, bj, bk = an.beta[i], an.beta[j], an.beta[k]
-    if (ai, bi) == (aj, bj):
-        return None
     if ai <= aj < ak and bj <= bi < bk:
         return Violation(i, j, k, strict=(ai < aj and bj < bi))
     return None

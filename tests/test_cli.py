@@ -20,6 +20,9 @@ from conftest import FOUR_VERTEX, MIXED_SIZES
 
 KEY_Q = "vertices 2\narrow 1 2\nm 3 3\nrank 1 1\n"
 PAGE_2X3 = "vertices 2\narrow 1 2\nm 3 2\nrank 1 1\n"
+# 2-minors at vertices 1 and 3, 3-minors at vertices 2 and 4: 122 generators
+MIXED_RANKS = ("vertices 4\n" + "arrow 1 3\n" * 2 + "arrow 1 4\narrow 2 3\narrow 2 4\n"
+               "m 2 3 3 3\nrank 1 2 1 2\n")
 PENCIL_22222 = ["double", "--m", "2", "--n", "2", "--r", "2", "--u", "2", "--v", "2"]
 NO_MINORS = ["double", "--m", "3", "--n", "3", "--r", "2", "--u", "9", "--v", "9"]
 TEX = "shape 2 2 2\n0 4 2 6 1 5 3 7\n"
@@ -429,6 +432,21 @@ class TestInitIdeal:
         code, out, _ = run(capsys, "init-ideal", "--quiver", quiver_file)
         assert code == 0
         assert out.strip().splitlines()[-1] == "squarefree true"
+
+    @pytest.mark.parametrize("text, lines, digest", [
+        (MIXED_SIZES, 46, "0acb36c13cc69087291b0cdb1828da9da4ab0950d8e3a6a3090d48137efefc48"),
+        (MIXED_RANKS, 107, "72bb972e19906769ca8a03831adb836fcdda9d3f4c3e91d75135baf5fb44a507"),
+    ], ids=["mixed-sizes", "mixed-ranks"])
+    @pytest.mark.parametrize("field", ["0", "32003"])
+    def test_stdout_matches_recorded(self, capsys, tmp_path, text, lines, digest, field):
+        # recorded while every pair of leading monomials was tested for
+        # divisibility; minimalisation drops 65 distinct leading monomials
+        # to 45 on the one quiver and 119 to 106 on the other
+        q = tmp_path / "mixed.q"
+        q.write_text(text)
+        code, out, _ = run(capsys, "init-ideal", "--quiver", str(q), "--field", field)
+        assert code == 0 and len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTensorVerbs:

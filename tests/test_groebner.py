@@ -11,8 +11,8 @@ from quivergb.groebner import (
 from quivergb.layout import default_order
 from quivergb.minors import natural_generators
 from quivergb.poly import (
-    DomainError, OrderSpec, PreparedBasis, leading_term, mono_from, mono_vars,
-    poly_mul, poly_sub, poly_var, reduce, render, s_polynomial,
+    DomainError, OrderSpec, Polynomial, PreparedBasis, leading_term, mono_divides,
+    mono_from, mono_vars, poly_mul, poly_sub, poly_var, reduce, render, s_polynomial,
 )
 from quivergb.tensors import double_det_generators
 
@@ -213,7 +213,37 @@ class TestProofBySpanningPairs:
         assert len(calls) < 2886
 
 
+def reference_initial_ideal_gens(G, ord):
+    """initial_ideal_gens as the pairwise loop: the distinct leading
+    monomials, in first-seen order, that no other one of them divides."""
+    lms = []
+    for g in G:
+        _, m = leading_term(g, ord)
+        if m not in lms:
+            lms.append(m)
+    return [m for m in lms if not any(other != m and mono_divides(other, m) for other in lms)]
+
+
+@st.composite
+def leading_monomial_problems(draw):
+    """(G, ord): nonzero polynomials over 4 variables with exponents up to
+    3, so that leading monomials repeat, are not squarefree and have mixed
+    degrees, under a random ranking."""
+    ranks = draw(st.permutations(range(4)))
+    monos = st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=4).map(
+        lambda exps: mono_from(exps.items()))
+    polys = st.dictionaries(monos, st.integers(1, 3), min_size=1, max_size=3).map(Polynomial)
+    return draw(st.lists(polys, max_size=12)), OrderSpec(dict(enumerate(ranks)))
+
+
 class TestInitialIdeal:
+    @settings(max_examples=200, deadline=None)
+    @given(leading_monomial_problems(), st.booleans())
+    def test_matches_the_pairwise_loop(self, problem, prepare):
+        G, ord = problem
+        assert (initial_ideal_gens(PreparedBasis(G, ord) if prepare else G, ord)
+                == reference_initial_ideal_gens(G, ord))
+
     def test_squarefree_diagonals(self, double_2x2):
         layout, ord = double_2x2
         monos = initial_ideal_gens(polys_of(layout), ord)

@@ -221,6 +221,12 @@ def single_5x5():
     return make_instance("vertices 2\narrow 1 2\nm 5 5\nrank 2 2\n")
 
 
+@pytest.fixture(scope="module")
+def single_6x6():
+    """One 6x6 page of 4-minors."""
+    return make_instance("vertices 2\narrow 1 2\nm 6 6\nrank 3 3\n")
+
+
 class TestDefectsAndTransplant:
     def test_worked_defect(self, single_5x5):
         layout, ord = single_5x5
@@ -361,6 +367,27 @@ class TestChains:
             " ; cols: [- x[4,1,1] pm 2:1,2,5;2,3,5] [+ x[5,1,1] pm 2:1,2,4;2,3,5]\n"
             "step 1: rows: [- x[5,3,1] pm 2:2,3,4;1,4,5] [- x[2,3,1] pm 2:4,3,5;1,4,5]"
             " ; cols: [- x[3,5,1] pm 2:2,4,5;1,3,4] [- x[3,1,1] pm 2:2,4,5;4,3,5]")
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+    def test_four_minor_transplants(self, single_6x6, field):
+        # Between them these pairs run both rejections of a non-maximal
+        # defect, by a violation with smaller (j', k') and by a tighter inner
+        # crossing, and the transplant splice that starts from N (y1 > y2).
+        # No pair of 3-minors reaches all three.
+        layout, ord = single_6x6
+        refs = natural_refs(layout)
+        chains = []
+        for a, b in ((35, 149), (77, 219)):
+            defects = spair.find_defects(layout, refs[a], refs[b], ord)
+            assert [d.maximal for d in defects] == [True, False, False, False]
+            cert = spair.build_chain(layout, refs[a], refs[b], ord, field)
+            assert spair.verify_chain(layout, cert, ord, field)
+            for (F, G), d in zip(steps_of(cert), cert.steps):
+                assert reference_step_verdict(layout, F, G, d, ord, field)
+            chains.append(spair.render_certificate(layout, cert, ord).splitlines()[0])
+        assert chains == [
+            "chain 1:1,2,3,6;1,2,5,6 1:1,4,5,6;1,4,5,6 1:1,4,5,6;3,4,5,6",
+            "chain 1:1,2,5,6;1,2,3,6 1:1,4,5,6;1,4,5,6 1:3,4,5,6;1,4,5,6"]
 
 
 def forge(layout, d):
