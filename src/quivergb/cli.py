@@ -16,10 +16,9 @@ from .layout import (
     build_layout, default_order, double_det_spec, parse_order_file, parse_quiver,
 )
 from .minors import (
-    ensure_consistent, expand_minor, natural_generators, natural_refs, parse_minor_spec,
-    render_minor_spec,
+    ensure_consistent, expand_minor, minor_leading_term, natural_generators, natural_refs,
+    parse_minor_spec, render_minor_spec,
 )
-from .groebner import buchberger_check, initial_ideal_gens, is_squarefree
 
 
 def _lazy(name):
@@ -41,7 +40,9 @@ def _lazy(name):
     return module
 
 
-# only certify and spair run spair, and only the tensor verbs run tensors
+# only check, init-ideal and the tensor verbs run groebner, only certify and
+# spair run spair, and only the tensor verbs run tensors
+groebner = _lazy("groebner")
 spair = _lazy("spair")
 tensors = _lazy("tensors")
 
@@ -90,9 +91,9 @@ def _gens(layout, ord, field, args):
 
 def _check(layout, ord, field, args):
     polys = [p for _, p in natural_generators(layout, field)]
-    report = buchberger_check(polys, ord,
-                              coprime_skip=not args.no_coprime_skip,
-                              fail_fast=args.fail_fast)
+    report = groebner.buchberger_check(polys, ord,
+                                       coprime_skip=not args.no_coprime_skip,
+                                       fail_fast=args.fail_fast)
     print(report.render(ord, layout.var_name))
     return 0 if report.is_groebner else 1
 
@@ -115,10 +116,10 @@ def _certify(layout, ord, field, args):
 
     def certify(pair):
         i, j = pair
-        cert = certifier.build(refs[i], refs[j])
-        ok = certifier.verify(cert)
-        text = f"pair {i} {j} chain {len(cert.refs)} verified {'true' if ok else 'false'}"
+        length, ok = certifier.certify(refs[i], refs[j])
+        text = f"pair {i} {j} chain {length} verified {'true' if ok else 'false'}"
         if len(wanted) == 1:
+            cert = certifier.build(refs[i], refs[j])
             text += "\n" + spair.render_certificate(layout, cert, ord)
         return text, ok
 
@@ -235,11 +236,12 @@ def _spair(layout, ord, field, args):
 
 
 def _init_ideal(layout, ord, field, args):
-    polys = [p for _, p in natural_generators(layout, field)]
-    monos = initial_ideal_gens(polys, ord)
+    # a minor's leading monomial is its diagonal, so no generator is expanded
+    lms = [Polynomial({minor_leading_term(layout, ref, ord): 1}) for ref in natural_refs(layout)]
+    monos = groebner.initial_ideal_gens(lms, ord)
     for m in monos:
         print(render(Polynomial({m: 1}), ord, layout.var_name))
-    print(f"squarefree {'true' if is_squarefree(monos) else 'false'}")
+    print(f"squarefree {'true' if groebner.is_squarefree(monos) else 'false'}")
     return 0
 
 

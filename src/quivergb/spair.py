@@ -31,6 +31,7 @@ from .poly import (
     mono_from, mono_lcm, mono_vars, packed_s_polynomial, poly_add, poly_scale,
     poly_sub, render_monomial, require,
 )
+from .layout import default_order
 from .minors import (
     MinorRef, PseudoMinorRef, ensure_consistent, expand_minor,
     expand_pseudominor, minor_leading_term, render_minor_spec,
@@ -538,7 +539,11 @@ class Certifier:
     one packed form that both read leading monomials from.  That memo is a
     codec cache: a widening empties it, and the interrupted work starts
     again and packs what it needs afresh.  The order is checked for
-    consistency once, here, before any verdict."""
+    consistency once, here, before any verdict.
+
+    certify(M, N) goes further: it builds and verifies one chain per pattern
+    class of pairs (see pattern) and gives its verdict to every other pair
+    of the class."""
 
     def __init__(self, layout, ord, field=QQ):
         ensure_consistent(layout, ord)
@@ -548,6 +553,13 @@ class Certifier:
         self.codec = MonomialCodec(ord)
         self._steps = {}      # (F, G) -> accepted Decomposition, or None
         self._verified = {}   # (F, G) -> the Decomposition verified for it
+        self._certified = {}  # pattern -> (chain length, verified)
+        # pairs share a pattern class only under the default order
+        self._by_class = ord.rank == default_order(layout).rank
+        # vertex -> variable -> (row, column, page) of its cell in that matrix
+        self._cells = {g: {} for g in layout.matrices}
+        for (g, v), pos in layout.pos_in_matrix.items():
+            self._cells[g][v] = (*pos, layout.point_of[v][2])
         # ref -> packed form, or None for 0; refs compare by value, so a
         # MinorRef and a PseudoMinorRef over the same cells share one entry
         self._dets = self.codec.cache()
@@ -646,6 +658,53 @@ class Certifier:
         layout, ord = self.layout, self.ord
         P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
         return self._same_matrix_chain(F, P)[:-1] + self._same_matrix_chain(P, G)
+
+    def pattern(self, M, N):
+        """The pattern class of the pair (M, N): how the points of the lcm L
+        of its leading monomials lie relative to each other, or (M, N)
+        itself under any order but the default one.
+
+        The points of L, the variables of diag(M) and diag(N), are taken in
+        rank order.  For each the class records whether it is on diag(M) and
+        on diag(N) and its coordinates: (row, column) in the vertex matrix
+        and page k for a same-vertex pair, (i, j, k) for a cross-vertex
+        pair, each replaced by its position among that coordinate's distinct
+        values.  It also records the arrow of each of those pages.
+
+        Two pairs of one class differ by a relabelling phi of each
+        coordinate that keeps its order and each page's arrow.  Every ref,
+        cofactor and pseudominor that build forms is made of rows and
+        columns of points of L: transplants and bridges splice points of L,
+        and coset terms permute their coordinates.  So phi carries each of
+        them to the one build forms for the other pair, and since it keeps
+        the order of rows and columns, determinants and S-polynomials map
+        term by term with the same signs.  The default order ranks by (k, i,
+        j), so phi keeps every comparison of monomials too, and the two
+        chains have one length and one verdict."""
+        if not self._by_class:
+            return M, N
+        layout = self.layout
+        # each leading monomial as a dict, variable -> 1, keyed by its diagonal
+        dm = dict(minor_leading_term(layout, M, self.ord))
+        dn = dict(minor_leading_term(layout, N, self.ord))
+        points = sorted(dm.keys() | dn.keys(), key=self.ord.rank.__getitem__)
+        coords = self._cells[M.vertex] if M.vertex == N.vertex else layout.point_of
+        a, b, k = zip(*map(coords.__getitem__, points))
+        A, B, K = sorted(set(a)), sorted(set(b)), sorted(set(k))
+        return (M.vertex, N.vertex, tuple(map(dm.__contains__, points)),
+                tuple(map(dn.__contains__, points)), tuple(map(A.index, a)),
+                tuple(map(B.index, b)), tuple(map(K.index, k)),
+                tuple(layout.spec.arrows[x - 1] for x in K))
+
+    def certify(self, M, N):
+        """(the length of the chain of (M, N), whether it verifies), built
+        and verified once per pattern class and kept for the run."""
+        key = self.pattern(M, N)
+        found = self._certified.get(key)
+        if found is None:
+            cert = self.build(M, N)
+            found = self._certified[key] = (len(cert.refs), self.verify(cert))
+        return found
 
     def build(self, M, N):
         """The chain certificate of the pair (M, N)."""

@@ -10,6 +10,9 @@ FOUR_VERTEX = ("vertices 4\n" + "arrow 1 3\n" * 3 + "arrow 1 4\n" * 2 +
                "arrow 2 3\n" + "arrow 2 4\n" * 2 + "m 2 2 2 2\nrank 1 1 1 1\n")
 # 2-minors at vertex 1 and 3-minors at vertex 2: 65 natural generators
 MIXED_SIZES = "vertices 2\narrow 1 2\narrow 1 2\nm 3 3\nrank 1 2\n"
+# 2-minors at vertices 1 and 3, 3-minors at vertices 2 and 4: 122 generators
+MIXED_RANKS = ("vertices 4\n" + "arrow 1 3\n" * 2 + "arrow 1 4\narrow 2 3\narrow 2 4\n"
+               "m 2 3 3 3\nrank 1 2 1 2\n")
 
 
 def make_instance(text):

@@ -1,9 +1,11 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,18 +14,18 @@ import quivergb
 from quivergb import minors, spair, tensors
 from quivergb.cli import main
 from quivergb.groebner import CheckReport
-from quivergb.layout import build_layout
+from quivergb.layout import build_layout, default_order, parse_quiver
 from quivergb.poly import DomainError, InputError, poly_var
 
-from conftest import FOUR_VERTEX, MIXED_SIZES
+from conftest import FOUR_VERTEX, MIXED_RANKS, MIXED_SIZES
 
 
 KEY_Q = "vertices 2\narrow 1 2\nm 3 3\nrank 1 1\n"
 PAGE_2X3 = "vertices 2\narrow 1 2\nm 3 2\nrank 1 1\n"
-# 2-minors at vertices 1 and 3, 3-minors at vertices 2 and 4: 122 generators
-MIXED_RANKS = ("vertices 4\n" + "arrow 1 3\n" * 2 + "arrow 1 4\narrow 2 3\narrow 2 4\n"
-               "m 2 3 3 3\nrank 1 2 1 2\n")
+PENCIL_33222 = ["double", "--m", "3", "--n", "3", "--r", "2", "--u", "2", "--v", "2"]
 PENCIL_22222 = ["double", "--m", "2", "--n", "2", "--r", "2", "--u", "2", "--v", "2"]
+# the quiver behind PENCIL_33222
+PENCIL_33222_TEXT = "vertices 2\narrow 1 2\narrow 1 2\nm 3 3\nrank 1 1\n"
 NO_MINORS = ["double", "--m", "3", "--n", "3", "--r", "2", "--u", "9", "--v", "9"]
 TEX = "shape 2 2 2\n0 4 2 6 1 5 3 7\n"
 
@@ -329,17 +331,18 @@ def assert_no_children():
 
 
 def fail_on(monkeypatch, pair, exc):
-    """Make Certifier.build raise exc on the pair (i, j) of the (2,2,2,2,2)
-    pencil, in whichever process certifies it."""
+    """Make Certifier.certify raise exc on the pair (i, j) of the (2,2,2,2,2)
+    pencil, in whichever process certifies it.  certify, not build, is
+    patched: a pair whose pattern class was certified before never builds."""
     refs = minors.natural_refs(build_layout(tensors.double_det_spec(2, 2, 2, 2, 2)))
     bad = (refs[pair[0]], refs[pair[1]])
-    build = spair.Certifier.build
+    certify = spair.Certifier.certify
 
     def failing(self, M, N):
         if (M, N) == bad:
             raise exc
-        return build(self, M, N)
-    monkeypatch.setattr(spair.Certifier, "build", failing)
+        return certify(self, M, N)
+    monkeypatch.setattr(spair.Certifier, "certify", failing)
 
 
 class TestCertifyWidth:
@@ -409,6 +412,93 @@ class TestCertifyWidth:
         assert time.monotonic() - start < 30
         assert len(forked) == 3
         assert_no_children()
+
+
+def seeded_order_quiver(tmp_path, text, seed):
+    """text with an order file of a random consistent order drawn from seed:
+    each rank goes to a variable whose upper and left neighbours in every
+    vertex matrix are ranked already.  Returns the quiver path."""
+    layout = build_layout(parse_quiver(text))
+    above = {v: set() for v in range(layout.nvars)}
+    for grid in layout.matrices.values():
+        for p, row in enumerate(grid):
+            for q, v in enumerate(row):
+                above[v].update(([grid[p - 1][q]] if p else []) + ([row[q - 1]] if q else []))
+    rng, rank = random.Random(seed), {}
+    while len(rank) < layout.nvars:
+        ready = sorted(v for v in above if v not in rank and above[v] <= rank.keys())
+        rank[rng.choice(ready)] = len(rank)
+    assert rank != default_order(layout).rank
+    (tmp_path / "order.txt").write_text(
+        "".join(f"{layout.var_name(v)} {r}\n" for v, r in rank.items()))
+    q = tmp_path / "ordered.q"
+    q.write_text(text + "order order.txt\n")
+    return str(q)
+
+
+class TestCertifyByClass:
+    """certify builds and verifies one chain per pattern class of pairs, in
+    each process, and prints its verdict for every pair of the class."""
+
+    @pytest.mark.parametrize("text", [None, MIXED_SIZES, MIXED_RANKS],
+                             ids=["pencil-3x3", "mixed-sizes", "mixed-ranks"])
+    def test_each_line_is_a_direct_build_and_verify(self, capsys, tmp_path, text):
+        if text is None:
+            argv = [*PENCIL_33222, "certify"]
+        else:
+            q = tmp_path / "layout.q"
+            q.write_text(text)
+            argv = ["certify", "--quiver", str(q)]
+        code, out, _ = run(capsys, *argv)
+        layout = build_layout(parse_quiver(text or PENCIL_33222_TEXT))
+        refs = minors.natural_refs(layout)
+        direct = spair.Certifier(layout, default_order(layout))
+        want = []
+        for i, j in combinations(range(len(refs)), 2):
+            cert = direct.build(refs[i], refs[j])
+            ok = "true" if direct.verify(cert) else "false"
+            want.append(f"pair {i} {j} chain {len(cert.refs)} verified {ok}")
+        assert code == 0 and out.splitlines() == [*want, f"certified: {len(want)}/{len(want)}"]
+
+    def test_build_runs_once_per_pair_under_another_order(self, capsys, tmp_path, cpus,
+                                                          monkeypatch):
+        cpus(1)  # builds are counted in this process only
+        built = Counter()
+        build = spair.Certifier.build
+
+        def counting(self, M, N):
+            built[M, N] += 1
+            return build(self, M, N)
+        monkeypatch.setattr(spair.Certifier, "build", counting)
+        quiver = seeded_order_quiver(tmp_path, PENCIL_33222_TEXT, 3)
+        code, out, _ = run(capsys, "certify", "--quiver", quiver)
+        assert code == 0 and out.endswith("certified: 2556/2556\n")
+        assert len(built) == sum(built.values()) == 2556
+        built.clear()
+        code, _, _ = run(capsys, *PENCIL_33222, "certify")
+        assert code == 0 and len(built) == sum(built.values()) == 790
+
+    def test_a_failed_representative_fails_its_class(self, capsys, cpus, monkeypatch):
+        cpus(1)  # one process, whose first pair of each class is its representative
+        layout = build_layout(tensors.double_det_spec(3, 3, 2, 2, 2))
+        refs = minors.natural_refs(layout)
+        certifier = spair.Certifier(layout, default_order(layout))
+        classes = {}
+        for i, j in combinations(range(len(refs)), 2):
+            classes.setdefault(certifier.pattern(refs[i], refs[j]), []).append((i, j))
+        members = max(classes.values(), key=len)
+        rep = refs[members[0][0]], refs[members[0][1]]
+        verify = spair.Certifier.verify
+
+        def failing(self, cert):
+            return (cert.refs[0], cert.refs[-1]) != rep and verify(self, cert)
+        monkeypatch.setattr(spair.Certifier, "verify", failing)
+        code, out, _ = run(capsys, *PENCIL_33222, "certify")
+        lines = out.splitlines()
+        failed = [tuple(map(int, line.split()[1:3])) for line in lines[:-1]
+                  if line.endswith("verified false")]
+        assert code == 1 and len(members) > 1 and failed == members
+        assert lines[-1] == f"certified: {2556 - len(members)}/2556"
 
 
 class TestMixedMinorSizes:
@@ -628,6 +718,19 @@ class TestLazyModules:
 
     def test_certify_runs_spair(self):
         assert self.ran(*PENCIL_22222, "certify")[:2] == ["True", "False"]
+
+    @pytest.mark.parametrize("verb, runs", [
+        ("gens", "False"), ("certify", "False"), ("check", "True"), ("init-ideal", "True"),
+    ])
+    def test_groebner_runs_only_for_its_verbs(self, verb, runs):
+        probe = """if True:
+            import sys
+            from quivergb.cli import main
+            main(sys.argv[1:])
+            groebner = sys.modules["quivergb.groebner"]
+            print("CheckReport" in object.__getattribute__(groebner, "__dict__"))
+        """
+        assert python_probe(probe, *PENCIL_22222, verb).split()[-1] == runs
 
     def test_a_loaded_module_is_reused(self):
         probe = ("import quivergb.spair, quivergb.cli; "

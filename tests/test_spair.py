@@ -16,7 +16,7 @@ from quivergb import spair
 from quivergb.layout import default_order
 from quivergb.tensors import double_det_generators
 
-from conftest import FOUR_VERTEX, make_instance, reference_step_verdict
+from conftest import FOUR_VERTEX, MIXED_RANKS, make_instance, reference_step_verdict
 
 
 # the worked 3x3 example: M = rows(2,3) cols(1,3), N = rows(1,3) cols(2,3)
@@ -592,3 +592,73 @@ class TestIntegerIdentities:
         for p in (2, 3, 7):
             mod_p = spair.Certifier(layout, ord, PrimeField(p))
             assert all(map(mod_p.verify, certs)), p
+
+
+def relabelling(layout, ord, pair, image):
+    """phi, the relabelling that carries the pair (M, N) onto image, as a map
+    of variables: each coordinate of the points of the lcm, in rank order,
+    goes to the same coordinate of image's points.  The coordinates are
+    (row, column) in the vertex matrix for a same-vertex pair and (i, j, k)
+    for a cross-vertex pair.  A cell whose coordinate is not one of the
+    points' raises KeyError."""
+    def points(M, N):
+        support = {v for ref in (M, N) for v, _ in minor_leading_term(layout, ref, ord)}
+        return sorted(support, key=ord.rank_of)
+    vertex = pair[0].vertex
+    if vertex == pair[1].vertex:
+        grid = layout.matrix(vertex)
+
+        def coords(v):
+            return layout.pos_in_matrix[(vertex, v)]
+
+        def var(c):
+            return grid[c[0] - 1][c[1] - 1]
+    else:
+        coords, var = layout.point_of.__getitem__, layout.var_of.__getitem__
+    maps = [dict(zip(a, b)) for a, b in zip(zip(*map(coords, points(*pair))),
+                                            zip(*map(coords, points(*image))))]
+    return lambda v: var(tuple(m[x] for m, x in zip(maps, coords(v))))
+
+
+def relabel_certificate(layout, phi, cert):
+    """cert with phi applied to every ref, cofactor and pseudominor.  A row
+    or column of a vertex matrix goes where phi sends its cell in the ref's
+    first column or first row."""
+    def ref(r):
+        grid = layout.matrix(r.vertex)
+
+        def pos(p, q):
+            return layout.pos_in_matrix[(r.vertex, phi(grid[p - 1][q - 1]))]
+        return type(r)(r.vertex, tuple(pos(p, r.cols[0])[0] for p in r.rows),
+                       tuple(pos(r.rows[0], q)[1] for q in r.cols))
+
+    def terms(ts):
+        return tuple(spair.DecompTerm(t.sign, mono_from((phi(v), e) for v, e in t.cofactor),
+                                      ref(t.pm)) for t in ts)
+    return spair.ChainCertificate(
+        [ref(r) for r in cert.refs],
+        [spair.Decomposition(ref(d.M), ref(d.N), terms(d.row_terms), terms(d.col_terms))
+         for d in cert.steps])
+
+
+class TestPatternClasses:
+    """Certifier.certify builds and verifies one chain per pattern class;
+    the classes are sound only if a relabelling carries each chain of a
+    class to every other."""
+
+    @pytest.mark.parametrize("instance, pairs, classes", [
+        (lambda: pencil_instance(3, 3, 2, 2, 2), 2556, 790),
+        (lambda: make_instance(MIXED_RANKS), 7381, 3323),
+    ], ids=["pencil-3x3", "mixed-ranks"])
+    def test_relabelled_representative_is_the_members_certificate(self, instance, pairs,
+                                                                   classes):
+        layout, ord = instance()
+        run = spair.Certifier(layout, ord)
+        wanted = list(combinations(natural_refs(layout), 2))
+        first = {}  # pattern -> its first pair and that pair's certificate
+        for pair in wanted:
+            cert = run.build(*pair)
+            rep, rep_cert = first.setdefault(run.pattern(*pair), (pair, cert))
+            phi = relabelling(layout, ord, rep, pair)
+            assert relabel_certificate(layout, phi, rep_cert) == cert, pair
+        assert (len(wanted), len(first)) == (pairs, classes)
