@@ -5,6 +5,7 @@ ideals.  Exit codes: 0 verified/success, 1 property refuted, 2 bad input."""
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import marshal
 import os
@@ -123,17 +124,34 @@ def _certify(layout, ord, field, args):
             text += "\n" + spair.render_certificate(layout, cert, ord)
         return text, ok
 
-    failures = 0
+    failures, block = 0, []
 
     def emit(result):
         nonlocal failures
         text, ok = result
-        print(text)
+        block.append(text)
         failures += not ok
+        if len(block) >= _BLOCK_LINES:
+            _write(block)
 
-    _map_chunks(certify, wanted, emit)
+    try:
+        _map_chunks(certify, wanted, emit)
+    finally:
+        _write(block)
     print(f"certified: {len(wanted) - failures}/{len(wanted)}")
     return 0 if failures == 0 else 1
+
+
+# certify writes its pair lines in blocks of this many: a print per line is
+# a write per line where stdout is unbuffered, and far slower
+_BLOCK_LINES = 1024
+
+
+def _write(lines):
+    """Write lines to stdout at once and empty the list."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+        lines.clear()
 
 
 # the errors a worker hands back to be raised again in the parent
@@ -166,6 +184,10 @@ def _map_chunks(fn, items, emit):
     when it raises are killed first."""
     n = max(1, min(_cpus(), len(items)))
     bounds = [len(items) * c // n for c in range(n + 1)]
+    if n > 1:
+        # No collection walks what exists now from here on: the workers
+        # leave its pages shared, and the last collection, at exit, is short.
+        gc.freeze()
     pipes, running = [], set()  # (pid, read end) per worker; pids not yet reaped
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
@@ -336,60 +358,73 @@ _LAYOUT_VERBS = {
 }
 
 
-def _add_layout_verb(sub, verb):
-    """The parser of a layout verb, with --field and the verb's own flags."""
-    about, add_flags, _ = _LAYOUT_VERBS[verb]
-    p = sub.add_parser(verb, help=about)
-    _add_field_flag(p)
-    add_flags(p)
+def _layout_flags(p, verb):
+    """Give p, a parser of a layout verb or None, --field and the verb's own flags."""
+    if p:
+        _add_field_flag(p)
+        _LAYOUT_VERBS[verb][1](p)
     return p
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser of the CLI, with a parser for every verb, so that usage and
+    help list them all.  Only a verb named by a word of argv gets its flags,
+    and double and tensor their verbs, since no other verb can be run; with
+    argv None, every verb gets them."""
+    def verb(sub, name, **kwargs):
+        """The parser of name in sub, returned if it is to get its flags."""
+        p = sub.add_parser(name, **kwargs)
+        return p if argv is None or name in argv else None
+
     ap = argparse.ArgumentParser(prog="quivergb")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    for verb in _LAYOUT_VERBS:
-        _add_layout_verb(sub, verb).add_argument("--quiver", required=True,
-                                                 help="quiver config file")
+    for name, (about, _, _) in _LAYOUT_VERBS.items():
+        p = _layout_flags(verb(sub, name, help=about), name)
+        if p:
+            p.add_argument("--quiver", required=True, help="quiver config file")
 
-    p = sub.add_parser("double", help="double determinantal shorthand")
-    for flag in "mnruv":
-        p.add_argument(f"--{flag}", type=int, required=True)
-    dsub = p.add_subparsers(dest="subverb", required=True)
-    for verb in ("gens", "check", "certify", "init-ideal"):
-        _add_layout_verb(dsub, verb)
+    p = verb(sub, "double", help="double determinantal shorthand")
+    if p:
+        for flag in "mnruv":
+            p.add_argument(f"--{flag}", type=int, required=True)
+        dsub = p.add_subparsers(dest="subverb", required=True)
+        for name in ("gens", "check", "certify", "init-ideal"):
+            _layout_flags(verb(dsub, name, help=_LAYOUT_VERBS[name][0]), name)
 
-    p = sub.add_parser("tensor", help="tensor utilities")
-    tsub = p.add_subparsers(dest="tverb", required=True)
-    tc = tsub.add_parser("contract")
-    tc.add_argument("--data", required=True)
-    tc.add_argument("--axes", required=True, help="comma-separated axes to sum out")
-    ts = tsub.add_parser("scan")
-    ts.add_argument("--data", required=True)
-    ts.add_argument("--axis", type=int, required=True)
-    tf = tsub.add_parser("flatten")
-    tf.add_argument("--data", required=True)
-    tf.add_argument("--axis", type=int, required=True)
+    p = verb(sub, "tensor", help="tensor utilities")
+    if p:
+        tsub = p.add_subparsers(dest="tverb", required=True)
+        p = verb(tsub, "contract")
+        if p:
+            p.add_argument("--data", required=True)
+            p.add_argument("--axes", required=True, help="comma-separated axes to sum out")
+        for name in ("scan", "flatten"):
+            p = verb(tsub, name)
+            if p:
+                p.add_argument("--data", required=True)
+                p.add_argument("--axis", type=int, required=True)
 
-    p = sub.add_parser("triple-eq", help="double vs triple ideal equality check")
-    for flag in "mnruvw":
-        p.add_argument(f"--{flag}", type=int, required=True)
-    _add_field_flag(p)
+    p = verb(sub, "triple-eq", help="double vs triple ideal equality check")
+    if p:
+        for flag in "mnruvw":
+            p.add_argument(f"--{flag}", type=int, required=True)
+        _add_field_flag(p)
 
-    p = sub.add_parser("indep", help="independence ideal generators")
-    p.add_argument("--shape", required=True, help="comma-separated table shape")
-    p.add_argument("--statements", required=True,
-                   help="comma-separated: a_b | a|rest | a_b|c | a|rest:s")
-    _add_field_flag(p)
+    p = verb(sub, "indep", help="independence ideal generators")
+    if p:
+        p.add_argument("--shape", required=True, help="comma-separated table shape")
+        p.add_argument("--statements", required=True,
+                       help="comma-separated: a_b | a|rest | a_b|c | a|rest:s")
+        _add_field_flag(p)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

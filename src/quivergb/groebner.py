@@ -45,22 +45,34 @@ def buchberger_check(G, ord, *, coprime_skip=True, fail_fast=False):
     leading monomial is squarefree, the pairs of _spanning_pairs are reduced
     first.  If each of them reduces to zero, G is a Groebner basis, so every
     S-pair would reduce to zero as well, and the report needs no more.
-    Otherwise the S-pairs are reduced one after another, which gives the
-    failures."""
+    Otherwise the other S-pairs are reduced one after another, and with the
+    remainders the proof found they give the failures; under fail_fast none
+    after the proof's failing pair is reduced, as none of them can be first."""
     basis = prepared(G, ord)
     masks = [_mask(lm) for lm in basis.lms]
     n = len(masks)
     total = n * (n - 1) // 2
     pairs = [(i, j) for i, a in enumerate(masks) for j in range(i + 1, n)
              if not coprime_skip or a & masks[j]]
+    rems = {}  # pair -> its nonzero remainder, or None, once reduced
     if coprime_skip and is_squarefree(basis.lms):
-        if not basis.s_pair_remainders(_spanning_pairs(masks, pairs), first=True):
+        proof = _spanning_pairs(masks, pairs)
+        found = basis.s_pair_remainders(proof, first=True)
+        if not found:
             return CheckReport(total, total - len(pairs), len(pairs), [], True)
-    found = basis.s_pair_remainders(pairs, first=fail_fast)
-    failures = [(*pairs[k], rem) for k, rem in found]
-    if fail_fast and found:
-        k = found[0][0]
-        i, j = pairs[k]
+        k, rem = found[0]
+        rems = dict.fromkeys(proof[:k])
+        rems[proof[k]] = rem
+        if fail_fast:  # no pair after the proof's failure can be the first
+            pairs = pairs[:pairs.index(proof[k]) + 1]
+    todo = [pair for pair in pairs if pair not in rems]
+    for k, rem in basis.s_pair_remainders(todo, first=fail_fast):
+        rems[todo[k]] = rem
+    failures = [(*pair, rems[pair]) for pair in pairs if rems.get(pair) is not None]
+    if fail_fast and failures:
+        i, j, _ = failures[0]
+        failures = failures[:1]
+        k = pairs.index((i, j))  # the overlapping pairs before (i, j), all reduced to zero
         before = i * n - i * (i + 1) // 2 + j - i - 1  # pairs before (i, j)
         return CheckReport(total, before - k, k, failures, False)
     return CheckReport(total, total - len(pairs), len(pairs) - len(failures), failures, True)

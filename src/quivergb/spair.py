@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, count, permutations, repeat
 from math import factorial
-from operator import lt
 from types import MappingProxyType
 
 from .poly import (
     QQ, DomainError, InputError, MonomialCodec, Overflow, Polynomial, mono_divides,
-    mono_from, mono_lcm, mono_vars, packed_s_polynomial, poly_add, poly_scale,
+    mono_from, mono_vars, packed_s_polynomial, poly_add, poly_scale,
     poly_sub, render_monomial, require,
 )
 from .layout import default_order
@@ -59,35 +58,41 @@ class SPairAnalysis(namedtuple("SPairAnalysis", "layout ord M N mode L points al
         return frozenset(i for cls in self.incidence_classes for i in cls)
 
 
+# The diagonal of a minor, its leading monomial under every consistent
+# order: its variables' coordinates axis by axis, (rows, columns, pages) in
+# the vertex matrix and (i, j, k) in the lattice, and each variable, in
+# diagonal order (rank order), mapped to (row, column, 0) and to (i, j, k).
+Diagonal = namedtuple("Diagonal", "cells points at_cell at_point")
+
+
+def diagonal(layout, ref, ord):
+    variables = sorted(mono_vars(minor_leading_term(layout, ref, ord)), key=ord.rank_of)
+    points = list(map(layout.point_of.__getitem__, variables))
+    return Diagonal((tuple(ref.rows), tuple(ref.cols), tuple(k for _, _, k in points)),
+                    tuple(zip(*points)), dict(zip(variables, zip(ref.rows, ref.cols, repeat(0)))),
+                    dict(zip(variables, points)))
+
+
 def analyze(layout, M, N, ord):
-    # The cross-matrix machinery is oriented: sigma permutes row coordinates
-    # inside the sink-side support, tau permutes column coordinates inside
-    # the source-side support.  Normalize a reversed pair.
-    if (M.vertex != N.vertex
-            and layout.roles[M.vertex] == "source"
-            and layout.roles[N.vertex] == "sink"):
-        M, N = N, M
-    lm_m = minor_leading_term(layout, M, ord)
-    lm_n = minor_leading_term(layout, N, ord)
-    L = mono_lcm(lm_m, lm_n)
-    variables = sorted(mono_vars(L), key=ord.rank_of)
-    points = tuple(layout.point_of[v] for v in variables)
-    vm, vn = mono_vars(lm_m), mono_vars(lm_n)
-    S_M = frozenset(i for i, v in enumerate(variables, start=1) if v in vm)
-    S_N = frozenset(i for i, v in enumerate(variables, start=1) if v in vn)
-    mode = "matrix" if M.vertex == N.vertex else "pages"
-    alpha, beta, page = [0], [0], [0]
-    for idx, v in enumerate(variables, start=1):
-        i, j, k = layout.point_of[v]
-        if mode == "matrix":
-            p, q = layout.pos_in_matrix[(M.vertex, v)]
-            alpha.append(p)
-            beta.append(q)
-            page.append(0)
-        else:
-            alpha.append(i)
-            beta.append(j)
-            page.append(k)
+    return _analysis(layout, ord, M, N, diagonal(layout, M, ord), diagonal(layout, N, ord))
+
+
+def _analysis(layout, ord, M, N, dm, dn):
+    """analyze(layout, M, N, ord), given the diagonals dm and dn of M and N."""
+    if M.vertex == N.vertex:
+        mode, in_m, in_n = "matrix", dm.at_cell, dn.at_cell
+    else:
+        # The cross-matrix machinery is oriented: sigma permutes row
+        # coordinates inside the sink-side support, tau permutes column
+        # coordinates inside the source-side support.  Normalize a reversed pair.
+        if layout.roles[M.vertex] == "source" and layout.roles[N.vertex] == "sink":
+            M, N, dm, dn = N, M, dn, dm
+        mode, in_m, in_n = "pages", dm.at_point, dn.at_point
+    at = {**in_m, **in_n}
+    variables = sorted(at, key=ord.rank.__getitem__)
+    alpha, beta, page = zip((0, 0, 0), *map(at.__getitem__, variables))
+    S_M = frozenset(compress(count(1), map(in_m.__contains__, variables)))
+    S_N = frozenset(compress(count(1), map(in_n.__contains__, variables)))
     inc = sorted(S_M & S_N)
     if mode == "matrix":
         classes = (tuple(inc),) if inc else ()
@@ -95,10 +100,10 @@ def analyze(layout, M, N, ord):
         by_page = {}
         for i in inc:
             by_page.setdefault(page[i], []).append(i)
-        classes = tuple(tuple(sorted(v)) for _, v in sorted(by_page.items()))
-    return SPairAnalysis(layout, ord, M, N, mode, L, points,
-                         tuple(alpha), tuple(beta), tuple(page),
-                         S_M, S_N, classes)
+        classes = tuple(tuple(v) for _, v in sorted(by_page.items()))
+    return SPairAnalysis(layout, ord, M, N, mode, tuple(zip(sorted(at), repeat(1))),
+                         tuple(map(layout.point_of.__getitem__, variables)),
+                         alpha, beta, page, S_M, S_N, classes)
 
 
 def _var_at(an, a, b, r):
@@ -218,45 +223,33 @@ def p_col(an, tau):
 def _row_term(an, sigma):
     """The cofactor and pseudominor of P_{sigma,.}, for a sigma known to
     permute S_M of a pair in sink-first orientation."""
-    jlist = sorted(an.S_N)
-    layout = an.layout
-    if an.mode == "matrix":
-        rows = tuple(an.alpha[perm_apply(sigma, j)] for j in jlist)
-        cols = tuple(an.beta[j] for j in jlist)
-        pm = PseudoMinorRef(an.M.vertex, rows, cols)
-    else:
-        rows = []
-        for j in jlist:
-            v = layout.var_of[(an.alpha[perm_apply(sigma, j)], 1, an.page[j])]
-            rows.append(layout.pos_in_matrix[(an.N.vertex, v)][0])
-        cols = tuple(an.beta[j] for j in jlist)
-        pm = PseudoMinorRef(an.N.vertex, tuple(rows), cols)
-    cof = mono_from(
-        (_var_at(an, an.alpha[perm_apply(sigma, k)], an.beta[k], an.page[k]), 1)
-        for k in an.S_M - an.S_N)
-    return cof, pm
+    alpha, beta, page, get = an.alpha, an.beta, an.page, sigma.get
+    js = sorted(an.S_N)
+    rows, vertex = tuple(map(alpha.__getitem__, map(get, js, js))), an.M.vertex
+    if an.mode == "pages":
+        # the rows of N's matrix, the source matrix, at those of the lattice
+        vertex, var_of, pos = an.N.vertex, an.layout.var_of, an.layout.pos_in_matrix
+        rows = tuple(pos[vertex, var_of[r, 1, page[j]]][0] for r, j in zip(rows, js))
+    # the cofactor's points lie in distinct columns, so its variables are distinct
+    cof = sorted(_var_at(an, alpha[get(k, k)], beta[k], page[k]) for k in an.S_M - an.S_N)
+    return (tuple(zip(cof, repeat(1))),
+            PseudoMinorRef(vertex, rows, tuple(map(beta.__getitem__, js))))
 
 
 def _col_term(an, tau):
     """The cofactor and pseudominor of P_{.,tau}, for a tau known to permute
     S_N of a pair in sink-first orientation."""
-    ilist = sorted(an.S_M)
-    layout = an.layout
-    if an.mode == "matrix":
-        rows = tuple(an.alpha[i] for i in ilist)
-        cols = tuple(an.beta[perm_apply(tau, i)] for i in ilist)
-        pm = PseudoMinorRef(an.M.vertex, rows, cols)
-    else:
-        rows = tuple(an.alpha[i] for i in ilist)
-        cols = []
-        for i in ilist:
-            v = layout.var_of[(1, an.beta[perm_apply(tau, i)], an.page[i])]
-            cols.append(layout.pos_in_matrix[(an.M.vertex, v)][1])
-        pm = PseudoMinorRef(an.M.vertex, rows, tuple(cols))
-    cof = mono_from(
-        (_var_at(an, an.alpha[k], an.beta[perm_apply(tau, k)], an.page[k]), 1)
-        for k in an.S_N - an.S_M)
-    return cof, pm
+    alpha, beta, page, get = an.alpha, an.beta, an.page, tau.get
+    ks = sorted(an.S_M)
+    cols, vertex = tuple(map(beta.__getitem__, map(get, ks, ks))), an.M.vertex
+    if an.mode == "pages":
+        # the columns of M's matrix, the sink matrix, at those of the lattice
+        var_of, pos = an.layout.var_of, an.layout.pos_in_matrix
+        cols = tuple(pos[vertex, var_of[1, c, page[i]]][1] for c, i in zip(cols, ks))
+    # the cofactor's points lie in distinct rows, so its variables are distinct
+    cof = sorted(_var_at(an, alpha[k], beta[get(k, k)], page[k]) for k in an.S_N - an.S_M)
+    return tuple(zip(cof, repeat(1))), PseudoMinorRef(vertex, tuple(map(alpha.__getitem__, ks)),
+                                                      cols)
 
 
 def _coset_decomposition(an):
@@ -506,23 +499,6 @@ def _pick_defect(layout, F, G, ord):
     return min(pool, key=sort_key)
 
 
-def _diagonal_minors_dividing(layout, vertex, L, size):
-    """All size-minors of the vertex matrix whose leading diagonal uses only
-    points of L (the D^L sets), as (rows, cols, variables of the diagonal);
-    L has few variables, so enumerate subsets."""
-    entries = []
-    for v in mono_vars(L):
-        pos = layout.pos_in_matrix.get((vertex, v))
-        if pos is not None:
-            entries.append((*pos, v))
-    out = []
-    for sub in combinations(sorted(entries), size):
-        rows, cols, variables = zip(*sub)
-        if all(map(lt, rows, rows[1:])) and all(map(lt, cols, cols[1:])):
-            out.append((rows, cols, frozenset(variables)))
-    return out
-
-
 class Certifier:
     """Builds and verifies chain certificates for one run, over a fixed
     layout, order and field (0 for QQ, or the prime p for GF(p)).
@@ -556,13 +532,20 @@ class Certifier:
         self._certified = {}  # pattern -> (chain length, verified)
         # pairs share a pattern class only under the default order
         self._by_class = ord.rank == default_order(layout).rank
-        # vertex -> variable -> (row, column, page) of its cell in that matrix
-        self._cells = {g: {} for g in layout.matrices}
-        for (g, v), pos in layout.pos_in_matrix.items():
-            self._cells[g][v] = (*pos, layout.point_of[v][2])
+        self._diags = {}      # ref -> its Diagonal
+        self._ranked = {}     # (xs, ys) -> xs + ys rank-compressed, see pattern
+        self._pages = {}      # (xs, ys) of page axes -> that and the pages' arrows
+        self._by_diagonal = {}  # (vertex, size) -> diagonal variables -> (rows, cols)
         # ref -> packed form, or None for 0; refs compare by value, so a
         # MinorRef and a PseudoMinorRef over the same cells share one entry
         self._dets = self.codec.cache()
+
+    def _diag(self, ref):
+        try:
+            return self._diags[ref]
+        except KeyError:
+            d = self._diags[ref] = diagonal(self.layout, ref, self.ord)
+            return d
 
     def _det(self, ref, expand):
         """expand(layout, ref, field) in its packed form, or None when it is 0."""
@@ -596,7 +579,8 @@ class Certifier:
                 return _mirror(self.decomposition(N, M))
             if not (roles[M.vertex] == "sink" and roles[N.vertex] == "source"):
                 return self.codec.run(self._coprime_syzygy, M, N)
-        return _coset_decomposition(analyze(self.layout, M, N, self.ord))
+        return _coset_decomposition(
+            _analysis(self.layout, self.ord, M, N, self._diag(M), self._diag(N)))
 
     def _coprime_syzygy(self, M, N):
         """Pairs with no shared page have coprime leading monomials; the
@@ -660,41 +644,39 @@ class Certifier:
         return self._same_matrix_chain(F, P)[:-1] + self._same_matrix_chain(P, G)
 
     def pattern(self, M, N):
-        """The pattern class of the pair (M, N): how the points of the lcm L
-        of its leading monomials lie relative to each other, or (M, N)
-        itself under any order but the default one.
-
-        The points of L, the variables of diag(M) and diag(N), are taken in
-        rank order.  For each the class records whether it is on diag(M) and
-        on diag(N) and its coordinates: (row, column) in the vertex matrix
-        and page k for a same-vertex pair, (i, j, k) for a cross-vertex
-        pair, each replaced by its position among that coordinate's distinct
-        values.  It also records the arrow of each of those pages.
+        """The pattern class of the pair (M, N), or (M, N) itself under any
+        order but the default one: the two diagonals concatenated, each
+        coordinate, (row, column, page) in the vertex matrix for a
+        same-vertex pair and (i, j, k) for a cross-vertex pair, replaced by
+        its position among its distinct values there, with the arrow of each
+        of those pages.  Each axis's merge is worked out once per run.
 
         Two pairs of one class differ by a relabelling phi of each
         coordinate that keeps its order and each page's arrow.  Every ref,
         cofactor and pseudominor that build forms is made of rows and
-        columns of points of L: transplants and bridges splice points of L,
-        and coset terms permute their coordinates.  So phi carries each of
-        them to the one build forms for the other pair, and since it keeps
-        the order of rows and columns, determinants and S-polynomials map
-        term by term with the same signs.  The default order ranks by (k, i,
-        j), so phi keeps every comparison of monomials too, and the two
-        chains have one length and one verdict."""
+        columns of points of L, the lcm of the two diagonals: transplants
+        and bridges splice points of L, and coset terms permute their
+        coordinates.  So phi carries each of them to the one build forms for
+        the other pair, and since it keeps the order of rows and columns,
+        determinants and S-polynomials map term by term with the same signs.
+        The default order ranks by (k, i, j), so phi keeps every comparison
+        of monomials too, and the two chains have one length and one
+        verdict."""
         if not self._by_class:
             return M, N
-        layout = self.layout
-        # each leading monomial as a dict, variable -> 1, keyed by its diagonal
-        dm = dict(minor_leading_term(layout, M, self.ord))
-        dn = dict(minor_leading_term(layout, N, self.ord))
-        points = sorted(dm.keys() | dn.keys(), key=self.ord.rank.__getitem__)
-        coords = self._cells[M.vertex] if M.vertex == N.vertex else layout.point_of
-        a, b, k = zip(*map(coords.__getitem__, points))
-        A, B, K = sorted(set(a)), sorted(set(b)), sorted(set(k))
-        return (M.vertex, N.vertex, tuple(map(dm.__contains__, points)),
-                tuple(map(dn.__contains__, points)), tuple(map(A.index, a)),
-                tuple(map(B.index, b)), tuple(map(K.index, k)),
-                tuple(layout.spec.arrows[x - 1] for x in K))
+        m, n = self._diag(M), self._diag(N)
+        x, y = (m.cells, n.cells) if M.vertex == N.vertex else (m.points, n.points)
+        ranked = self._ranked
+        try:
+            return (M.vertex, N.vertex, ranked[x[0], y[0]], ranked[x[1], y[1]],
+                    self._pages[x[2], y[2]])
+        except KeyError:
+            for xs, ys in zip(x, y):  # the page axis last, so distinct ends as the pages
+                distinct = sorted(set(xs + ys))
+                ranked[xs, ys] = tuple(map(distinct.index, xs + ys))
+            arrows = self.layout.spec.arrows
+            self._pages[x[2], y[2]] = (ranked[x[2], y[2]], tuple(arrows[k - 1] for k in distinct))
+            return self.pattern(M, N)
 
     def certify(self, M, N):
         """(the length of the chain of (M, N), whether it verifies), built
@@ -711,10 +693,9 @@ class Certifier:
         if M.vertex == N.vertex:
             refs = self._same_matrix_chain(M, N)
         else:
-            layout, ord = self.layout, self.ord
-            L = mono_lcm(minor_leading_term(layout, M, ord), minor_leading_term(layout, N, ord))
-            cand_m = _diagonal_minors_dividing(layout, M.vertex, L, M.size)
-            cand_n = _diagonal_minors_dividing(layout, N.vertex, L, N.size)
+            variables = self._diag(M).at_cell.keys() | self._diag(N).at_cell.keys()
+            cand_m = self._minors_within(M.vertex, M.size, variables)
+            cand_n = self._minors_within(N.vertex, N.size, variables)
             # the bridge M2 -> N2 of least distance |diag(M2) ^ diag(N2)|
             _, rows_m, cols_m, rows_n, cols_n = min(
                 (len(vm ^ vn), rm, cm, rn, cn)
@@ -726,6 +707,25 @@ class Certifier:
             if self._small_step(M2, N2) is None:
                 raise DomainError("no small-leading-term decomposition for a chain step")
         return ChainCertificate(list(refs), [self._steps[s] for s in zip(refs, refs[1:])])
+
+    def _minors_within(self, vertex, size, variables):
+        """The size-minors of the vertex matrix whose diagonal uses only
+        variables (the D^L sets), as (rows, cols, diagonal variables), read
+        from an index of them all by diagonal, built on first use."""
+        index = self._by_diagonal.get((vertex, size))
+        if index is None:
+            grid = self.layout.matrix(vertex)
+            index = self._by_diagonal[vertex, size] = {
+                frozenset(grid[p - 1][q - 1] for p, q in zip(rows, cols)): (rows, cols)
+                for rows in combinations(range(1, len(grid) + 1), size)
+                for cols in combinations(range(1, len(grid[0]) + 1), size)}
+        pos = self.layout.pos_in_matrix
+        out = []
+        for sub in combinations([v for v in variables if (vertex, v) in pos], size):
+            sub = frozenset(sub)
+            if sub in index:
+                out.append((*index[sub], sub))
+        return out
 
     def verify(self, cert):
         """Whether cert proves that the S-polynomial of its end refs reduces

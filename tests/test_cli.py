@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quivergb
-from quivergb import minors, spair, tensors
+from quivergb import cli, minors, spair, tensors
 from quivergb.cli import main
 from quivergb.groebner import CheckReport
 from quivergb.layout import build_layout, default_order, parse_quiver
@@ -271,6 +272,18 @@ class TestCertify:
                            "--pairs", "0,5")
         assert code == 0 and "chain " in out and "step 0:" in out
 
+    def test_transplant_certificate_golden(self, capsys, tmp_path):
+        q = tmp_path / "page5.q"
+        q.write_text("vertices 2\narrow 1 2\nm 5 5\nrank 2 2\n")
+        assert run(capsys, "certify", "--quiver", str(q), "--pairs", "57,75") == (0, (
+            "pair 57 75 chain 3 verified true\n"
+            "chain 1:1,4,5;2,3,5 1:2,4,5;1,3,5 1:2,3,5;1,4,5\n"
+            "step 0: rows: [- x[1,3,1] pm 1:2,4,5;1,2,5] [+ x[1,5,1] pm 1:2,4,5;1,2,3] ; "
+            "cols: [- x[4,1,1] pm 1:1,2,5;2,3,5] [+ x[5,1,1] pm 1:1,2,4;2,3,5]\n"
+            "step 1: rows: [- x[5,3,1] pm 1:2,3,4;1,4,5] [- x[2,3,1] pm 1:4,3,5;1,4,5] ; "
+            "cols: [- x[3,5,1] pm 1:2,4,5;1,3,4] [- x[3,1,1] pm 1:2,4,5;4,3,5]\n"
+            "certified: 1/1\n"), "")
+
     def test_bad_pair(self, capsys, quiver_file):
         code, _, err = run(capsys, "certify", "--quiver", quiver_file,
                            "--pairs", "0,99")
@@ -374,15 +387,18 @@ class TestCertifyWidth:
 
     @pytest.mark.parametrize("exc", [DomainError, InputError])
     def test_worker_error_reads_as_serial(self, capsys, cpus, monkeypatch, exc):
-        # (8, 9) is the last of the 45 pairs, in the last worker's chunk
+        # (8, 9) is the last of the 45 pairs, in the last worker's chunk; the
+        # lines before it go out in one block, or in blocks of 7 lines
         fail_on(monkeypatch, (8, 9), exc("no decomposition for this pair"))
         runs = []
-        for n in (1, 2, 4):
-            forked = cpus(n)
-            runs.append(run(capsys, *PENCIL_22222, "certify"))
-            assert len(forked) == n - 1
-            assert_no_children()
-        assert runs[0] == runs[1] == runs[2]
+        for block in (cli._BLOCK_LINES, 7):
+            monkeypatch.setattr(cli, "_BLOCK_LINES", block)
+            for n in (1, 2, 4):
+                forked = cpus(n)
+                runs.append(run(capsys, *PENCIL_22222, "certify"))
+                assert len(forked) == n - 1
+                assert_no_children()
+        assert all(r == runs[0] for r in runs)
         code, out, err = runs[0]
         assert code == 2 and err == "error: no decomposition for this pair\n"
         lines = out.splitlines()
@@ -477,6 +493,15 @@ class TestCertifyByClass:
         built.clear()
         code, _, _ = run(capsys, *PENCIL_33222, "certify")
         assert code == 0 and len(built) == sum(built.values()) == 790
+
+    @pytest.mark.parametrize("text, seed, digest", [
+        (PENCIL_33222_TEXT, 3, "e761fbe1fd6d76520afdbb309f62bfbe6d7a6149089f8dd4d3b66340d9c28d58"),
+        (FOUR_VERTEX, 5, "38046bab05c987d92ef71454b3bbec9eea709c74f238054dcc3777bc072b70aa"),
+    ], ids=["pencil-3x3", "four-vertex"])
+    def test_seeded_order_stdout_matches_recorded(self, capsys, tmp_path, text, seed, digest):
+        # every pair its own class, and its lines written in blocks
+        code, out, _ = run(capsys, "certify", "--quiver", seeded_order_quiver(tmp_path, text, seed))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_a_failed_representative_fails_its_class(self, capsys, cpus, monkeypatch):
         cpus(1)  # one process, whose first pair of each class is its representative
@@ -645,6 +670,67 @@ class TestArgErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["check", "--quiver", "x.q", "--bogus"]) == 2
+
+
+# Help, and a bad flag or flag value for every verb, each parsed by its own
+# parser or by the top-level one.
+PARSER_CASES = [
+    ["--help"], ["double", "--help"], [],
+    ["gens", "--quiver", "q", "--bogus"], ["gens", "--field", "x"],
+    ["check", "--quiver", "q", "--threads", "0"], ["check", "--field", "x"],
+    ["certify", "--field", "x"], ["spair", "--field", "x"], ["init-ideal", "--field", "x"],
+    ["double", "--m", "x"], [*PENCIL_22222, "gens", "--field", "x"],
+    [*PENCIL_22222, "check", "--field", "x"], [*PENCIL_22222, "certify", "--field", "x"],
+    [*PENCIL_22222, "init-ideal", "--field", "x"], [*PENCIL_22222, "spair"],
+    ["tensor", "contract", "--axes", "1"], ["tensor", "scan", "--axis", "x"],
+    ["tensor", "flatten", "--data"], ["tensor", "--bogus"],
+    ["triple-eq", "--m", "x"], ["indep", "--field", "x"], ["frobnicate"],
+]
+# sha256 of the JSON list of [exit code, stdout, stderr] of PARSER_CASES at
+# 80 columns, recorded from the parser that gave every verb its flags, by
+# Python release: argparse words some messages differently in each
+PARSER_DIGESTS = {
+    **dict.fromkeys([(3, 10, 13), (3, 11, 2), (3, 11, 7), (3, 12, 1)],
+                    "b6863fefb16a89e9b0db4b1c6a687d95f1518a1a1261a70ab143303f9bc0f428"),
+    (3, 13, 0): "90d25faa98aebf17e2d245c91bd2ca61a187c4ca8f9002e5888529fe027513ad",
+    (3, 13, 13): "aa0d21f1e0c2324517044c53cc59ca1ad1aad3b09befcb842740546d692b5978",
+}
+
+
+class TestParser:
+    """main builds the flags of the verbs that argv names only; what it
+    prints is that of the parser with every flag."""
+
+    def outputs(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        return [list(run(capsys, *argv)) for argv in PARSER_CASES]
+
+    def test_output_matches_recorded(self, capsys, monkeypatch):
+        digest = hashlib.sha256(json.dumps(self.outputs(capsys, monkeypatch)).encode()).hexdigest()
+        want = PARSER_DIGESTS.get(sys.version_info[:3])
+        if want is None:
+            pytest.skip(f"no output recorded for Python {sys.version.split()[0]}")
+        assert digest == want
+
+    def test_output_matches_the_full_parser(self, capsys, monkeypatch):
+        lazy = self.outputs(capsys, monkeypatch)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv: build())
+        assert self.outputs(capsys, monkeypatch) == lazy
+
+    def test_only_named_verbs_get_flags(self):
+        def flagged(ap):
+            """The prog of every parser with a flag besides --help."""
+            out = set()
+            for action in ap._actions:
+                for p in (action.choices or {}).values():  # the parsers of subcommands
+                    if any(a.option_strings not in ([], ["-h", "--help"]) for a in p._actions):
+                        out.add(p.prog)
+                    out |= flagged(p)
+            return out
+        assert flagged(cli.build_parser([*PENCIL_22222, "certify"])) == {
+            "quivergb double", "quivergb double certify", "quivergb certify"}
+        assert len(flagged(cli.build_parser())) == 15  # all but quivergb and quivergb tensor
 
 
 class TestBadFiles:

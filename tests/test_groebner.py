@@ -212,6 +212,24 @@ class TestProofBySpanningPairs:
         assert report.is_groebner and report.reduced_to_zero == 2886
         assert len(calls) < 2886
 
+    def test_non_basis_divides_each_overlapping_pair_once(self, monkeypatch):
+        # the proof fails on these, and the exhaustive loop then reduces
+        # only the pairs the proof did not
+        layout, _ = make_instance(FOUR_VERTEX)
+        G = polys_of(layout)
+        divide, calls = PreparedBasis._divide, []
+
+        def counted(self, work):
+            calls.append(1)
+            return divide(self, work)
+        monkeypatch.setattr(PreparedBasis, "_divide", counted)
+        rng, ranks = random.Random(23), list(range(layout.nvars))
+        for _ in range(3):
+            rng.shuffle(ranks)
+            calls.clear()
+            report = buchberger_check(G, OrderSpec(dict(enumerate(ranks))))
+            assert report.failures and len(calls) == report.reduced_to_zero + len(report.failures)
+
 
 def reference_initial_ideal_gens(G, ord):
     """initial_ideal_gens as the pairwise loop: the distinct leading

@@ -16,7 +16,7 @@ from quivergb import spair
 from quivergb.layout import default_order
 from quivergb.tensors import double_det_generators
 
-from conftest import FOUR_VERTEX, MIXED_RANKS, make_instance, reference_step_verdict
+from conftest import FOUR_VERTEX, MIXED_RANKS, MIXED_SIZES, make_instance, reference_step_verdict
 
 
 # the worked 3x3 example: M = rows(2,3) cols(1,3), N = rows(1,3) cols(2,3)
@@ -662,3 +662,51 @@ class TestPatternClasses:
             phi = relabelling(layout, ord, rep, pair)
             assert relabel_certificate(layout, phi, rep_cert) == cert, pair
         assert (len(wanted), len(first)) == (pairs, classes)
+
+
+def reference_pattern(layout, ord, M, N):
+    """The pattern key as the rank-sorted union of the two diagonals: for
+    each point of diag(M) and diag(N), in rank order, whether it is on
+    diag(M) and on diag(N), and its coordinates, (row, column, page) in the
+    vertex matrix for a same-vertex pair and (i, j, k) for a cross-vertex
+    pair, each replaced by its position among that coordinate's distinct
+    values; then the arrow of each of those pages."""
+    dm = dict(minor_leading_term(layout, M, ord))
+    dn = dict(minor_leading_term(layout, N, ord))
+    points = sorted(dm.keys() | dn.keys(), key=ord.rank.__getitem__)
+    if M.vertex == N.vertex:
+        def coords(v):
+            return (*layout.pos_in_matrix[M.vertex, v], layout.point_of[v][2])
+    else:
+        coords = layout.point_of.__getitem__
+    a, b, k = zip(*map(coords, points))
+    A, B, K = sorted(set(a)), sorted(set(b)), sorted(set(k))
+    return (M.vertex, N.vertex, tuple(map(dm.__contains__, points)),
+            tuple(map(dn.__contains__, points)), tuple(map(A.index, a)),
+            tuple(map(B.index, b)), tuple(map(K.index, k)),
+            tuple(layout.spec.arrows[x - 1] for x in K))
+
+
+class TestPatternKey:
+    """Certifier.pattern keys a pair by its two diagonals' merged
+    coordinates.  The reference key above is a function of it, so no class
+    of the key spans two of the reference's; on each instance here the two
+    give the same classes."""
+
+    @pytest.mark.parametrize("text, classes", [
+        ((3, 3, 2, 2, 2), 790),
+        ((3, 3, 3, 2, 2), 3502),
+        (MIXED_SIZES, 961),
+        (MIXED_RANKS, 3323),
+        (FOUR_VERTEX, 1297),
+        ("vertices 2\narrow 1 2\nm 5 5\nrank 2 2\n", 924),
+    ], ids=["pencil-3x3", "pencil-3x3x3", "mixed-sizes", "mixed-ranks", "four-vertex",
+            "page-5x5"])
+    def test_reference_key_is_a_function_of_the_key(self, text, classes):
+        layout, ord = pencil_instance(*text) if isinstance(text, tuple) else make_instance(text)
+        run = spair.Certifier(layout, ord)
+        seen = {}  # key -> its reference key
+        for M, N in combinations(natural_refs(layout), 2):
+            want = reference_pattern(layout, ord, M, N)
+            assert seen.setdefault(run.pattern(M, N), want) == want, (M, N)
+        assert len(seen) == len(set(seen.values())) == classes
