@@ -5,6 +5,7 @@ ideals.  Exit codes: 0 verified/success, 1 property refuted, 2 bad input."""
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import importlib.util
 import marshal
@@ -142,8 +143,9 @@ def _certify(layout, ord, field, args):
     return 0 if failures == 0 else 1
 
 
-# certify writes its pair lines in blocks of this many: a print per line is
-# a write per line where stdout is unbuffered, and far slower
+# certify writes its pair lines in blocks of this many, and init-ideal and
+# indep all of theirs at once: a print per line is a write per line where
+# stdout is unbuffered, and far slower
 _BLOCK_LINES = 1024
 
 
@@ -261,9 +263,9 @@ def _init_ideal(layout, ord, field, args):
     # a minor's leading monomial is its diagonal, so no generator is expanded
     lms = [Polynomial({minor_leading_term(layout, ref, ord): 1}) for ref in natural_refs(layout)]
     monos = groebner.initial_ideal_gens(lms, ord)
-    for m in monos:
-        print(render(Polynomial({m: 1}), ord, layout.var_name))
-    print(f"squarefree {'true' if groebner.is_squarefree(monos) else 'false'}")
+    lines = [render(Polynomial({m: 1}), ord, layout.var_name) for m in monos]
+    lines.append(f"squarefree {'true' if groebner.is_squarefree(monos) else 'false'}")
+    _write(lines)
     return 0
 
 
@@ -314,9 +316,9 @@ def _indep(args):
     gens = tensors.independence_ideal(shape, stmts, _field_of(args))
     ord = tensors.tensor_var_order(shape)
     namer = tensors.tensor_var_namer(shape)
-    for g in gens:
-        print(render(g, ord, namer))
-    print(f"generators {len(gens)}")
+    lines = [render(g, ord, namer) for g in gens]
+    lines.append(f"generators {len(gens)}")
+    _write(lines)
     return 0
 
 
@@ -422,6 +424,12 @@ def build_parser(argv=None):
 
 
 def main(argv=None):
+    # The last collection, at exit, would walk every object of the run only
+    # for the process to end; frozen first, they are left to the exit.  A
+    # caller that runs main in process collects as usual until it exits, and
+    # a forked certify worker leaves by os._exit, which runs no handler.
+    atexit.unregister(gc.freeze)  # one handler, however often main runs
+    atexit.register(gc.freeze)
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser(argv).parse_args(argv)

@@ -7,8 +7,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .poly import (
-    QQ, DomainError, InputError, Polynomial, mono_from, poly_mul, poly_neg,
-    poly_var,
+    QQ, DomainError, InputError, Polynomial, _char, mono_from, mono_mul, poly_var,
 )
 from .layout import validate_consistent
 
@@ -60,7 +59,10 @@ def det_poly_matrix(M):
     """Determinant of a square matrix of polynomials (DP over column masks).
 
     The DP starts from the first row rather than from a constant 1, so it
-    works over any coefficient field."""
+    works over any coefficient field.  Each signed product goes straight
+    into the terms of its mask; fields combine as poly_mul and poly_add
+    combine them, so two nonzero entries of different fields that meet
+    raise DomainError."""
     n = len(M)
     if not n or any(len(row) != n for row in M):
         raise InputError("determinant needs a nonempty square matrix")
@@ -68,16 +70,31 @@ def det_poly_matrix(M):
     for i in range(1, n):
         nxt = {}
         for mask, sub in prev.items():
-            for j in range(n):
+            for j, entry in enumerate(M[i]):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                term = poly_mul(sub, M[i][j])
-                # Laplace sign: parity of already-chosen columns right of j
-                if (mask >> (j + 1)).bit_count() & 1:
-                    term = poly_neg(term)
+                p = _char(sub, entry)  # the field of the product
                 key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = Polynomial(char=p)
+                if not (sub.terms and entry.terms):
+                    continue  # a zero product leaves acc as it is
+                acc.char = _char(acc, sub)  # the product is nonzero, of sub's field
+                # Laplace sign: parity of already-chosen columns right of j
+                neg = (mask >> (j + 1)).bit_count() & 1
+                terms = acc.terms
+                for sm, sc in sub.terms.items():
+                    for em, ec in entry.terms.items():
+                        m = mono_mul(sm, em)
+                        c = terms.get(m, 0) + (-sc * ec if neg else sc * ec)
+                        if p:
+                            c %= p
+                        if c:
+                            terms[m] = c
+                        else:
+                            terms.pop(m, None)
         prev = nxt
     return prev[(1 << n) - 1]
 

@@ -92,6 +92,10 @@ def mono_mul(a, b):
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:  # every variable of a sorts before those of b
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     acc = dict(a)
     for v, e in b:
         acc[v] = acc.get(v, 0) + e
@@ -296,8 +300,21 @@ def leading_term(f, ord):
 
 
 def sorted_terms(f, ord):
-    """Terms as (coeff, monomial), strictly decreasing monomials."""
-    return [(f.terms[m], m) for m in sorted(f.terms, key=ord.key, reverse=True)]
+    """Terms as (coeff, monomial), strictly decreasing monomials.
+
+    Each monomial is keyed sparsely, by its (-rank, exponent) pairs in rank
+    order: two keys first differ where one monomial has the larger exponent
+    or the other has none, so they compare as the dense OrderSpec.key does."""
+    rank = ord.rank
+
+    def key(m):
+        try:
+            return sorted([(-rank[v], e) for v, e in m], reverse=True)
+        except KeyError as missing:
+            ord.rank_of(missing.args[0])  # raises InputError naming the variable
+            raise
+
+    return [(f.terms[m], m) for m in sorted(f.terms, key=key, reverse=True)]
 
 
 def s_polynomial(f, g, ord):
@@ -644,8 +661,11 @@ def reduce(f, G, ord):
 
 def render_monomial(m, ord, namer):
     """Factors in rank order, a variable repeated by its exponent; "" for 1."""
-    return "*".join(namer(v) for v, e in sorted(m, key=lambda p: ord.rank_of(p[0]))
-                    for _ in range(e))
+    rank_of = ord.rank_of
+    names = []
+    for v, e in sorted(m, key=lambda p: rank_of(p[0])):
+        names += [namer(v)] * e
+    return "*".join(names)
 
 
 def render(f, ord, namer):

@@ -10,7 +10,7 @@ from itertools import combinations, product
 from math import prod
 
 from .poly import (
-    QQ, InputError, OrderSpec, PreparedBasis, inverse, poly_neg, poly_var, require,
+    QQ, InputError, OrderSpec, PreparedBasis, inverse, poly_var, require,
 )
 from .layout import build_layout, default_order, double_det_spec
 from .minors import det_poly_matrix, natural_generators
@@ -226,8 +226,8 @@ def symbolic_tensor(shape, field=QQ):
 
 
 def tensor_var_namer(shape):
-    idx_of = list(_indices(shape))
-    return lambda v: "p[" + ",".join(map(str, idx_of[v])) + "]"
+    """The name p[i1,...,in] of each variable of symbolic_tensor(shape)."""
+    return ["p[" + ",".join(map(str, idx)) + "]" for idx in _indices(shape)].__getitem__
 
 
 def tensor_var_order(shape):
@@ -359,15 +359,23 @@ def independence_ideal(shape, statements, field=QQ):
 
 def _unique_up_to_sign(polys):
     """The nonzero polys in first-seen order, dropping any equal to a kept
-    one or to its negative."""
+    one or to its negative.
+
+    g and -g share one key: the term set of whichever of them has, at the
+    least monomial, a positive coefficient over QQ, or over GF(p) the
+    smaller of c and p - c.  Over GF(2), g is -g."""
     out = []
-    seen = set()  # term sets of the kept polys
+    seen = set()  # keys of the kept polys
     for g in polys:
-        if g.is_zero():
+        terms, p = g.terms, g.char
+        if not terms:
             continue
-        key = frozenset(g.terms.items())
-        if key in seen or frozenset(poly_neg(g).terms.items()) in seen:
-            continue
-        seen.add(key)
-        out.append(g)
+        c = terms[min(terms)]
+        if (p - c < c) if p else c < 0:
+            key = frozenset((m, p - d if p else -d) for m, d in terms.items())
+        else:
+            key = frozenset(terms.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
     return out

@@ -648,6 +648,19 @@ class TestIndep:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "f2a4c7be0f502b07c87651c051148711efba2f4ade23eb9d96d933b2adb85b5a"
 
+    @pytest.mark.parametrize("field, digest", [
+        ("2", "2ad82617ba06ada54df65f6105f42b0882b28c8c42ad88f11d03fb067d077576"),
+        ("7", "8c68aac4e98fa6f4fed024ba60a9e4a7d52582c6b7d1bd1285e1e7f87eaaf8c9"),
+    ], ids=["GF2", "GF7"])
+    def test_four_axis_prime_field_golden(self, capsys, field, digest):
+        # over GF(2) a generator is its own negative, so the one key a
+        # generator and its negative share must not tell them apart there
+        code, out, _ = run(capsys, "indep", "--shape", "3,3,3,3",
+                           "--statements", "1_2,1|rest,1_3|2", "--field", field)
+        assert code == 0
+        assert out.splitlines()[-1] == "generators 1089"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_statement(self, capsys):
         code, _, err = run(capsys, "indep", "--shape", "2,2",
                            "--statements", "zzz")
@@ -772,6 +785,21 @@ def test_startup_imports_no_dataclass_machinery():
              "print(*(m in sys.modules for m in "
              "('dataclasses', 'inspect', 'quivergb.spair', 'quivergb.tensors')))")
     assert python_probe(probe).split() == ["False", "False", "True", "True"]
+
+
+def test_exit_freezes_every_object_but_main_does_not():
+    # atexit runs its handlers last registered first, so this probe's runs
+    # after the CLI's gc.freeze: by then the last collection has nothing left
+    # to walk, while main, as in-process callers run it, froze nothing
+    probe = """if True:
+        import atexit, gc, sys
+        atexit.register(lambda: print("frozen at exit", gc.get_freeze_count() > 0))
+        from quivergb.cli import main
+        main(sys.argv[1:])
+        print("frozen after main", gc.get_freeze_count())
+    """
+    out = python_probe(probe, "indep", "--shape", "2,2", "--statements", "1_2")
+    assert out.splitlines()[-2:] == ["frozen after main 0", "frozen at exit True"]
 
 
 class TestLazyModules:

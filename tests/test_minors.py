@@ -113,6 +113,32 @@ class TestExpansion:
         assert gf.char == 7 and all(type(c) is int and 1 <= c <= 6 for c in gf.terms.values())
 
 
+class TestDeterminantFields:
+    """Entries combine as poly_mul and poly_add combine them: two nonzero
+    entries of different fields that meet are refused, and a zero of any
+    field combines with everything."""
+
+    @pytest.mark.parametrize("first, other", [(QQ, 7), (5, 7)], ids=["QQ-GF7", "GF5-GF7"])
+    @pytest.mark.parametrize("cells", [[(1, 0)], [(0, 1), (1, 0)]],
+                             ids=["in-a-product", "in-a-sum"])
+    def test_nonzero_entries_of_two_fields_are_refused(self, first, other, cells):
+        # other's field at (1, 0) alone meets first's in the product of
+        # (0, 1) and (1, 0); at both cells, each product keeps one field and
+        # only their sum mixes them
+        grid = [[poly_var(2 * i + j, first) for j in range(2)] for i in range(2)]
+        for i, j in cells:
+            grid[i][j] = poly_var(8 + 2 * i + j, PrimeField(other))
+        with pytest.raises(DomainError, match="mixed prime fields"):
+            det_poly_matrix(grid)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_a_zero_of_another_field_combines(self, where):
+        grid = [[poly_var(2 * i + j) for j in range(2)] for i in range(2)]
+        grid[where[0]][where[1]] = Polynomial(char=PrimeField(7))
+        det = det_poly_matrix(grid)
+        assert det == leibniz(grid) and not det.is_zero() and det.char == QQ
+
+
 class TestLeadingTerm:
     def test_diagonal_fast_path(self, double_2x2):
         four = make_instance(FOUR_VERTEX)

@@ -33,6 +33,11 @@ class TestMonomials:
     def test_mul_merges_exponents(self):
         assert mono_mul(m((0, 1)), m((0, 2), (1, 1))) == m((0, 3), (1, 1))
 
+    def test_mul_of_disjoint_ranges_stays_sorted(self):
+        a, b = m((0, 1), (2, 2)), m((3, 1))
+        assert mono_mul(a, b) == mono_mul(b, a) == m((0, 1), (2, 2), (3, 1))
+        assert mono_mul(m((1, 1)), m((0, 1), (2, 1))) == m((0, 1), (1, 1), (2, 1))
+
     def test_divides_and_div(self):
         a, b = m((0, 1)), m((0, 2), (1, 1))
         assert mono_divides(a, b) and not mono_divides(b, a)
@@ -494,3 +499,26 @@ class TestRender:
     def test_terms_sorted_decreasing(self):
         f = poly_from_terms([(Fraction(1), m((2, 1))), (Fraction(1), m((0, 1)))])
         assert [mo for _, mo in sorted_terms(f, ORD3)] == [m((0, 1)), m((2, 1))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.permutations(range(5)),
+           st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5),
+                    min_size=1, max_size=12),
+           st.booleans())
+    def test_sparse_key_sorts_as_the_dense_key(self, ranks, exps, constant):
+        # variable 3v + 1 has rank ranks[v], so ids, ranks and positions differ
+        ord = OrderSpec({3 * v + 1: r for v, r in enumerate(ranks)})
+        terms = {mono_from((3 * v + 1, e) for v, e in enumerate(row)): 1 for row in exps}
+        if constant:
+            terms[()] = 1
+        f = Polynomial(terms)
+        assert [mo for _, mo in sorted_terms(f, ord)] == \
+            sorted(f.terms, key=ord.key, reverse=True)
+
+    @pytest.mark.parametrize("f", [
+        poly_from_terms([(1, m((0, 1))), (-1, m((5, 2)))]),
+        poly_var(5),
+    ], ids=["beside-a-ranked-one", "alone"])
+    def test_unranked_variable_is_bad_input(self, f):
+        with pytest.raises(InputError, match="variable 5 is not ranked"):
+            render(f, ORD3, str)

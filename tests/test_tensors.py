@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from quivergb import tensors as T
 from quivergb.poly import (
-    QQ, InputError, Polynomial, PrimeField, poly_mul, poly_neg, poly_sub, poly_var,
-    render,
+    QQ, InputError, Polynomial, PrimeField, mono_from, poly_from_terms, poly_mul,
+    poly_neg, poly_sub, poly_var, render,
 )
 
 
@@ -291,6 +291,49 @@ class TestIndependence:
     def test_statement_render_roundtrip(self):
         for text in ("1_2", "2|rest", "1_3|2", "1|rest:3"):
             assert T.render_statement(T.parse_statement(text)) == text
+
+
+def unique_up_to_sign_reference(polys):
+    """_unique_up_to_sign by two term sets a poly, as it was first written:
+    a nonzero poly is dropped when its term set, or its negative's, is a
+    kept one's."""
+    out = []
+    seen = set()
+    for g in polys:
+        if g.is_zero():
+            continue
+        key = frozenset(g.terms.items())
+        if key in seen or frozenset(poly_neg(g).terms.items()) in seen:
+            continue
+        seen.add(key)
+        out.append(g)
+    return out
+
+
+@st.composite
+def signed_poly_lists(draw):
+    """Polys of one field drawn from a small pool, some negated, some zero."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+    coeff = st.integers(-8, 8) if field else st.fractions(-3, 3, max_denominator=2)
+    term = st.tuples(coeff, st.lists(st.integers(0, 2), min_size=2, max_size=2))
+    pool = [poly_from_terms([(c, mono_from(enumerate(e))) for c, e in terms], field)
+            for terms in draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=4))]
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.booleans())
+    return [poly_neg(pool[i]) if neg else pool[i] for i, neg in draw(st.lists(picks, max_size=10))]
+
+
+class TestUniqueUpToSign:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_poly_lists())
+    def test_matches_the_two_term_set_rule(self, polys):
+        kept = T._unique_up_to_sign(polys)
+        want = unique_up_to_sign_reference(polys)
+        assert len(kept) == len(want) and all(a is b for a, b in zip(kept, want))
+
+    def test_over_gf2_a_poly_is_its_negative(self):
+        x, y = poly_var(0, PrimeField(2)), poly_var(1, PrimeField(2))
+        g = poly_sub(x, y)
+        assert T._unique_up_to_sign([g, poly_neg(g), poly_mul(x, y)]) == [g, poly_mul(x, y)]
 
 
 class TestGeneralize:
