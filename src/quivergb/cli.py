@@ -8,9 +8,8 @@ import argparse
 import atexit
 import gc
 import importlib.util
-import marshal
-import os
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from .poly import QQ, DomainError, InputError, Polynomial, PrimeField, render, s_polynomial
@@ -102,8 +101,10 @@ def _check(layout, ord, field, args):
 
 def _certify(layout, ord, field, args):
     refs = natural_refs(layout)
+    certifier = spair.Certifier(layout, ord, field)
     if args.pairs == "all":
-        wanted = [(i, j) for i in range(len(refs)) for j in range(i + 1, len(refs))]
+        pairs = combinations(range(len(refs)), 2)
+        classes, firsts = certifier.pair_classes(refs)
     else:
         try:
             i, j = (int(x) for x in args.pairs.split(","))
@@ -113,33 +114,22 @@ def _certify(layout, ord, field, args):
             raise InputError("pair index out of range")
         if i == j:
             raise InputError("a pair needs two different generators")
-        wanted = [(i, j)]
-    certifier = spair.Certifier(layout, ord, field)
-
-    def certify(pair):
-        i, j = pair
-        length, ok = certifier.certify(refs[i], refs[j])
-        text = f"pair {i} {j} chain {length} verified {'true' if ok else 'false'}"
-        if len(wanted) == 1:
-            cert = certifier.build(refs[i], refs[j])
-            text += "\n" + spair.render_certificate(layout, cert, ord)
-        return text, ok
-
+        pairs = firsts = [(i, j)]
+        classes = [0]
+    verdicts, error = spair.map_chunks(
+        lambda c: certifier.certify(*map(refs.__getitem__, firsts[c])), len(firsts))
     failures, block = 0, []
-
-    def emit(result):
-        nonlocal failures
-        text, ok = result
-        block.append(text)
+    for line, ok in spair.pair_lines(pairs, classes, verdicts):
+        block.append(line)
         failures += not ok
         if len(block) >= _BLOCK_LINES:
             _write(block)
-
-    try:
-        _map_chunks(certify, wanted, emit)
-    finally:
-        _write(block)
-    print(f"certified: {len(wanted) - failures}/{len(wanted)}")
+    if args.pairs != "all" and verdicts:  # a single pair gets its certificate too
+        block.append(spair.render_certificate(layout, certifier.build(refs[i], refs[j]), ord))
+    _write(block)
+    if error:
+        raise error
+    print(f"certified: {len(classes) - failures}/{len(classes)}")
     return 0 if failures == 0 else 1
 
 
@@ -154,92 +144,6 @@ def _write(lines):
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
         lines.clear()
-
-
-# the errors a worker hands back to be raised again in the parent
-_WORKER_ERRORS = {cls.__name__: cls for cls in (InputError, DomainError)}
-
-
-def _cpus():
-    """How many CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _map_chunks(fn, items, emit):
-    """emit(fn(item)) for each item, in order.
-
-    The items are cut into contiguous chunks, one per CPU this process may
-    run on and never more than there are items.  Each chunk after the first
-    goes to a forked worker, which inherits everything fn has built so far,
-    runs fn on its chunk and sends the results back over a pipe with
-    marshal, so they must be marshallable.  Meanwhile this process runs the
-    first chunk, emitting as it goes, then emits each worker's results in
-    chunk order.  Contiguous chunks keep neighbouring items, which share the
-    most work, in one process.  An InputError or DomainError in a worker is
-    raised here after the results before it, as a serial run would.  Every
-    worker is reaped before this returns or raises, and those still running
-    when it raises are killed first."""
-    n = max(1, min(_cpus(), len(items)))
-    bounds = [len(items) * c // n for c in range(n + 1)]
-    if n > 1:
-        # No collection walks what exists now from here on: the workers
-        # leave its pages shared, and the last collection, at exit, is short.
-        gc.freeze()
-    pipes, running = [], set()  # (pid, read end) per worker; pids not yet reaped
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(fn, items[lo:hi], w)
-            running.add(pid)
-            os.close(w)
-            pipes.append((pid, open(r, "rb")))
-        for item in items[:bounds[1]]:
-            emit(fn(item))
-        for pid, pipe in pipes:
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            running.remove(pid)
-            if status:
-                raise RuntimeError(f"worker {pid} failed with wait status {status}")
-            results, error = marshal.loads(data)
-            for result in results:
-                emit(result)
-            if error:
-                raise _WORKER_ERRORS[error[0]](error[1])
-    finally:
-        for pid in running:
-            os.kill(pid, 9)  # SIGKILL on every POSIX system; importing signal costs start-up
-        for pid in running:
-            os.waitpid(pid, 0)
-        for _, pipe in pipes:
-            pipe.close()
-
-
-def _worker(fn, items, fd):
-    """The body of a forked worker of _map_chunks: never returns."""
-    code = 1
-    try:
-        results, error = [], None
-        try:
-            for item in items:
-                results.append(fn(item))
-        except (InputError, DomainError) as exc:
-            error = type(exc).__name__, str(exc)
-        with open(fd, "wb") as pipe:
-            pipe.write(marshal.dumps((results, error)))
-        code = 0
-    except Exception:
-        import traceback
-        traceback.print_exc()
-    finally:
-        os._exit(code)
 
 
 def _spair(layout, ord, field, args):

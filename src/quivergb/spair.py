@@ -19,6 +19,10 @@ incidence class per page.
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
+from array import array
 from collections import namedtuple
 from functools import cache
 from itertools import combinations, compress, count, permutations, repeat
@@ -503,12 +507,14 @@ class Certifier:
     """Builds and verifies chain certificates for one run, over a fixed
     layout, order and field (0 for QQ, or the prime p for GF(p)).
 
-    Chains of different pairs share many steps (F, G).  For the life of the
-    certifier it keeps the accepted decomposition of every step it built
-    and the decomposition it verified for every step, so each distinct step
-    is built once and verified once.  A step is taken as verified only when
-    the certificate's decomposition equals the verified one by value; any
-    other is verified in full.
+    Chains of different pairs share many steps (F, G), and many more steps
+    share a step class (see pattern).  For the life of the certifier it
+    keeps, per step class, how its first step met decomposes and whether
+    that decomposition verified, so each step class is decided once and
+    verified once; build still returns each step's own decomposition.
+    verify checks a certificate from scratch: it takes a step as verified
+    only when the certificate's decomposition equals one it verified before
+    by value, and verifies any other in full.
 
     Build and verify both work on monomials packed by the run's own
     MonomialCodec.  Each distinct ref is expanded once per run, into the
@@ -517,9 +523,10 @@ class Certifier:
     again and packs what it needs afresh.  The order is checked for
     consistency once, here, before any verdict.
 
-    certify(M, N) goes further: it builds and verifies one chain per pattern
-    class of pairs (see pattern) and gives its verdict to every other pair
-    of the class."""
+    certify(M, N) goes further: it walks one chain per pattern class of
+    pairs (see pattern), as build does, and gives its verdict, read off the
+    step classes, to every other pair of the class.  pair_classes numbers
+    the classes of every pair of a list of refs."""
 
     def __init__(self, layout, ord, field=QQ):
         ensure_consistent(layout, ord)
@@ -527,7 +534,7 @@ class Certifier:
         self.ord = ord
         self.field = field
         self.codec = MonomialCodec(ord)
-        self._steps = {}      # (F, G) -> accepted Decomposition, or None
+        self._steps = {}      # step pattern -> (how it decomposes, verified), see _step
         self._verified = {}   # (F, G) -> the Decomposition verified for it
         self._certified = {}  # pattern -> (chain length, verified)
         # pairs share a pattern class only under the default order
@@ -620,24 +627,37 @@ class Certifier:
             return True
         return self.codec.run(below)
 
-    def _small_step(self, F, G):
-        """The decomposition of one chain step: P(F,G) if its leading terms
-        stay below the lcm, else P(G,F) mirrored if its terms do, else None."""
-        key = (F, G)
-        if key in self._steps:
+    def _step(self, F, G):
+        """(how the chain step (F, G) decomposes, whether that decomposition
+        verifies), made once per step class (see pattern) from the first
+        step of the class met: how is False for P(F,G), where its terms lead
+        below the lcm, True for P(G,F) mirrored, where only its terms do,
+        and None where neither's do."""
+        key = self.pattern(F, G)
+        try:
             return self._steps[key]
-        d = self.decomposition(F, G)
+        except KeyError:
+            pass
+        mirrored, d = False, self.decomposition(F, G)
         if not self.has_small_lts(d):
-            d2 = self.decomposition(G, F)
-            d = _mirror(d2) if self.has_small_lts(d2) else None
-        self._steps[key] = d
-        return d
+            mirrored, d = True, _mirror(self.decomposition(G, F))
+            if not self.has_small_lts(d):
+                self._steps[key] = found = None, False
+                return found
+        found = self._steps[key] = mirrored, self.codec.run(self._step_holds, F, G, d)
+        return found
+
+    def _decomposed(self, F, G):
+        """The decomposition of the accepted chain step (F, G)."""
+        if self._step(F, G)[0]:
+            return _mirror(self.decomposition(G, F))
+        return self.decomposition(F, G)
 
     def _same_matrix_chain(self, F, G):
-        """Refs from F to G; every adjacent pair has an accepted step."""
+        """Refs from F to G; every adjacent pair is an accepted step."""
         if F == G:
             return (F,)
-        if self._small_step(F, G) is not None:
+        if self._step(F, G)[0] is not None:
             return (F, G)
         layout, ord = self.layout, self.ord
         P = transplant(layout, F, G, _pick_defect(layout, F, G, ord), ord)
@@ -661,7 +681,15 @@ class Certifier:
         determinants and S-polynomials map term by term with the same signs.
         The default order ranks by (k, i, j), so phi keeps every comparison
         of monomials too, and the two chains have one length and one
-        verdict."""
+        verdict.
+
+        A chain step (F, G) is itself a pair, keyed the same way, and the
+        same argument applies to it alone: a relabelling of the step's
+        coordinates that keeps the order of each and the arrows of its
+        pages carries P(F, G), P(G, F) and the coprime syzygy term by term,
+        signs included, onto those of the relabelled step.  It keeps
+        whether their terms lead below the lcm, so the choice between them,
+        and whether the chosen one expands to S(F, G), so its verdict."""
         if not self._by_class:
             return M, N
         m, n = self._diag(M), self._diag(N)
@@ -679,34 +707,55 @@ class Certifier:
             return self.pattern(M, N)
 
     def certify(self, M, N):
-        """(the length of the chain of (M, N), whether it verifies), built
-        and verified once per pattern class and kept for the run."""
+        """(the length of the chain of (M, N), whether it verifies), worked
+        out once per pattern class and kept for the run.  The chain is the
+        one build walks, and it verifies when its end-point checks pass and
+        every step class on it verified."""
         key = self.pattern(M, N)
         found = self._certified.get(key)
         if found is None:
-            cert = self.build(M, N)
-            found = self._certified[key] = (len(cert.refs), self.verify(cert))
+            refs = self._chain(M, N)
+            ok = (self.codec.run(self._ends_hold, refs)
+                  and all(self._step(F, G)[1] for F, G in zip(refs, refs[1:])))
+            found = self._certified[key] = (len(refs), ok)
         return found
+
+    def pair_classes(self, refs):
+        """The pattern class of every pair (i, j) of refs, i < j, in pair
+        order: an array of class numbers, the classes numbered in the order
+        first met, and the first pair of each class."""
+        number, classes, firsts = {}, array("I"), []
+        pattern = self.pattern
+        for (i, M), (j, N) in combinations(enumerate(refs), 2):
+            c = number.setdefault(pattern(M, N), len(firsts))
+            if c == len(firsts):
+                firsts.append((i, j))
+            classes.append(c)
+        return classes, firsts
 
     def build(self, M, N):
         """The chain certificate of the pair (M, N)."""
+        refs = self._chain(M, N)
+        return ChainCertificate(list(refs), list(map(self._decomposed, refs, refs[1:])))
+
+    def _chain(self, M, N):
+        """The refs of the chain of (M, N); every step is accepted."""
         if M.vertex == N.vertex:
-            refs = self._same_matrix_chain(M, N)
-        else:
-            variables = self._diag(M).at_cell.keys() | self._diag(N).at_cell.keys()
-            cand_m = self._minors_within(M.vertex, M.size, variables)
-            cand_n = self._minors_within(N.vertex, N.size, variables)
-            # the bridge M2 -> N2 of least distance |diag(M2) ^ diag(N2)|
-            _, rows_m, cols_m, rows_n, cols_n = min(
-                (len(vm ^ vn), rm, cm, rn, cn)
-                for rm, cm, vm in cand_m for rn, cn, vn in cand_n)
-            M2 = MinorRef(M.vertex, rows_m, cols_m)
-            N2 = MinorRef(N.vertex, rows_n, cols_n)
-            refs = self._same_matrix_chain(M, M2) + self._same_matrix_chain(N2, N)
-            # the same-matrix chains accepted every other step; only the bridge crosses vertices
-            if self._small_step(M2, N2) is None:
-                raise DomainError("no small-leading-term decomposition for a chain step")
-        return ChainCertificate(list(refs), [self._steps[s] for s in zip(refs, refs[1:])])
+            return self._same_matrix_chain(M, N)
+        variables = self._diag(M).at_cell.keys() | self._diag(N).at_cell.keys()
+        cand_m = self._minors_within(M.vertex, M.size, variables)
+        cand_n = self._minors_within(N.vertex, N.size, variables)
+        # the bridge M2 -> N2 of least distance |diag(M2) ^ diag(N2)|
+        _, rows_m, cols_m, rows_n, cols_n = min(
+            (len(vm ^ vn), rm, cm, rn, cn)
+            for rm, cm, vm in cand_m for rn, cn, vn in cand_n)
+        M2 = MinorRef(M.vertex, rows_m, cols_m)
+        N2 = MinorRef(N.vertex, rows_n, cols_n)
+        refs = self._same_matrix_chain(M, M2) + self._same_matrix_chain(N2, N)
+        # the same-matrix chains accepted every other step; only the bridge crosses vertices
+        if self._step(M2, N2)[0] is None:
+            raise DomainError("no small-leading-term decomposition for a chain step")
+        return refs
 
     def _minors_within(self, vertex, size, variables):
         """The size-minors of the vertex matrix whose diagonal uses only
@@ -845,6 +894,147 @@ def _in_H(an, sigma, tau):
         if si != ti or cls_of.get(si) != cls_of.get(i):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# certifying pattern classes across CPUs
+
+def pair_lines(pairs, classes, verdicts):
+    """(line, verified) of each (i, j) of pairs, whose class numbers classes
+    gives in the same order, up to the first pair whose class has no
+    verdict; verdicts holds (chain length, verified) per class."""
+    texts = [(f" chain {length} verified {'true' if ok else 'false'}", ok)
+             for length, ok in verdicts]
+    for (i, j), c in zip(pairs, classes):
+        if c >= len(texts):
+            return
+        text, ok = texts[c]
+        yield f"pair {i} {j}{text}", ok
+
+
+# the errors a worker hands back to be raised again in the parent
+_WORKER_ERRORS = {cls.__name__: cls for cls in (InputError, DomainError)}
+
+
+def _cpus():
+    """How many CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_bounds(n, cpus):
+    """The bounds of the contiguous chunks map_chunks cuts range(n) into:
+    about 8 per CPU, and never more than n, nor than the 1,024 whose 4-byte
+    numbers fill one page."""
+    k = min(n, 8 * cpus, 1024)
+    return [n * c // max(k, 1) for c in range(k + 1)]
+
+
+def map_chunks(fn, n):
+    """([fn(i) for i in range(n)], None); or, where fn raises InputError or
+    DomainError, the results below the lowest i at which it does and that
+    error, as a serial run that stops there has them.
+
+    range(n) is cut into contiguous chunks (_chunk_bounds), and every chunk
+    number goes into one pipe, the queue, before anything forks: a page at
+    most, so the write never blocks.  On one CPU, or with one chunk, this
+    process takes every chunk off the queue itself.  Otherwise it forks one
+    worker per CPU it may run on, never more than there are chunks, each
+    inheriting everything fn has built so far, and takes no chunk itself,
+    so that what it runs, and so what a profile of it counts, does not
+    depend on how the chunks fall.  Each worker reads the next 4-byte chunk
+    number off the queue and runs fn on that chunk, until the queue is
+    empty or fn raises, so one that gets less CPU takes fewer chunks, and
+    sends its results back over its own pipe with marshal, so they must be
+    marshallable.  Chunks are handed out in order, so every chunk below one
+    that failed was taken, and finished unless it failed lower.  Contiguous
+    chunks keep neighbouring items, which share the most work, in one
+    process.  Every worker is reaped before this returns or raises, and
+    those still running when it raises are killed first; a worker that
+    fails any other way raises RuntimeError here."""
+    cpus = _cpus()
+    bounds = _chunk_bounds(n, cpus)
+    workers = min(cpus, len(bounds) - 1)
+    if workers < 2:
+        workers = 0
+    else:
+        # No collection walks what exists now from here on: the workers
+        # leave its pages shared, and the last collection, at exit, is short.
+        gc.freeze()
+    queue, w = os.pipe()
+    os.write(w, b"".join(c.to_bytes(4, "little") for c in range(len(bounds) - 1)))
+    os.close(w)
+    pipes, running = [], set()  # (pid, read end) per worker; pids not yet reaped
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(fn, bounds, queue, w)
+            running.add(pid)
+            os.close(w)
+            pipes.append((pid, open(r, "rb")))
+        done, error = ([], None) if workers else _take(fn, bounds, queue)
+        for pid, pipe in pipes:
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if status:
+                raise RuntimeError(f"worker {pid} failed with wait status {status}")
+            more, failed = marshal.loads(data)
+            done += more
+            if failed and (error is None or failed[0] < error[0]):
+                error = failed[0], _WORKER_ERRORS[failed[1]](failed[2])
+    finally:
+        for pid in running:
+            os.kill(pid, 9)  # SIGKILL on every POSIX system; importing signal costs start-up
+        for pid in running:
+            os.waitpid(pid, 0)
+        for _, pipe in pipes:
+            pipe.close()
+        os.close(queue)
+    results = [None] * n
+    for lo, part in done:
+        results[lo:lo + len(part)] = part
+    return (results[:error[0]], error[1]) if error else (results, None)
+
+
+def _take(fn, bounds, queue):
+    """Run fn over each chunk whose number this process reads off the queue,
+    until it is empty or fn raises InputError or DomainError: the (first
+    index, results) of every chunk taken, and (index, error) or None."""
+    done = []
+    while chunk := os.read(queue, 4):
+        c = int.from_bytes(chunk, "little")
+        lo, results = bounds[c], []
+        done.append((lo, results))
+        try:
+            for i in range(lo, bounds[c + 1]):
+                results.append(fn(i))
+        except (InputError, DomainError) as exc:
+            return done, (lo + len(results), exc)
+    return done, None
+
+
+def _worker(fn, bounds, queue, fd):
+    """The body of a forked worker of map_chunks: never returns."""
+    code = 1
+    try:
+        done, error = _take(fn, bounds, queue)
+        if error:
+            error = error[0], type(error[1]).__name__, str(error[1])
+        with open(fd, "wb") as pipe:
+            pipe.write(marshal.dumps((done, error)))
+        code = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------

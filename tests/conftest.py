@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quivergb import spair
@@ -19,6 +21,23 @@ def make_instance(text):
     spec = parse_quiver(text)
     layout = build_layout(spec)
     return layout, default_order(layout)
+
+
+def seeded_rank(layout, seed):
+    """The ranks of a random consistent order drawn from seed, other than
+    the default one: each rank goes to a variable whose upper and left
+    neighbours in every vertex matrix are ranked already."""
+    above = {v: set() for v in range(layout.nvars)}
+    for grid in layout.matrices.values():
+        for p, row in enumerate(grid):
+            for q, v in enumerate(row):
+                above[v].update(([grid[p - 1][q]] if p else []) + ([row[q - 1]] if q else []))
+    rng, rank = random.Random(seed), {}
+    while len(rank) < layout.nvars:
+        ready = sorted(v for v in above if v not in rank and above[v] <= rank.keys())
+        rank[rng.choice(ready)] = len(rank)
+    assert rank != default_order(layout).rank
+    return rank
 
 
 def reference_step_verdict(layout, F, G, d, ord, field):

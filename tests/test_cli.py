@@ -1,9 +1,10 @@
 import hashlib
 import json
 import os
-import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from itertools import combinations
@@ -18,7 +19,7 @@ from quivergb.groebner import CheckReport
 from quivergb.layout import build_layout, default_order, parse_quiver
 from quivergb.poly import DomainError, InputError, poly_var
 
-from conftest import FOUR_VERTEX, MIXED_RANKS, MIXED_SIZES
+from conftest import FOUR_VERTEX, MIXED_RANKS, MIXED_SIZES, seeded_rank
 
 
 KEY_Q = "vertices 2\narrow 1 2\nm 3 3\nrank 1 1\n"
@@ -272,6 +273,18 @@ class TestCertify:
                            "--pairs", "0,5")
         assert code == 0 and "chain " in out and "step 0:" in out
 
+    def test_only_pairs_prints_a_certificate_body(self, capsys, tmp_path):
+        # two generators make one pair, which all pairs prints without a body
+        q = tmp_path / "two.q"
+        q.write_text("vertices 4\narrow 1 2\narrow 3 4\nm 2 2 2 2\nrank 1 1 1 1\n")
+        line = "pair 0 1 chain 2 verified true\n"
+        assert run(capsys, "certify", "--quiver", str(q)) == (0, line + "certified: 1/1\n", "")
+        assert run(capsys, "certify", "--quiver", str(q), "--pairs", "0,1") == (0, (
+            line + "chain 1:1,2;1,2 3:1,2;1,2\n"
+            "step 0: rows: [- x[1,2,1]*x[2,1,1] pm 3:1,2;1,2] ; "
+            "cols: [- x[1,2,2]*x[2,1,2] pm 1:1,2;1,2]\n"
+            "certified: 1/1\n"), "")
+
     def test_transplant_certificate_golden(self, capsys, tmp_path):
         q = tmp_path / "page5.q"
         q.write_text("vertices 2\narrow 1 2\nm 5 5\nrank 2 2\n")
@@ -343,32 +356,43 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def fail_on(monkeypatch, pair, exc):
-    """Make Certifier.certify raise exc on the pair (i, j) of the (2,2,2,2,2)
-    pencil, in whichever process certifies it.  certify, not build, is
-    patched: a pair whose pattern class was certified before never builds."""
+def fail_on(monkeypatch, raising):
+    """Make Certifier.certify raise each exception of the dict raising on
+    its pair (i, j) of the (2,2,2,2,2) pencil, in whichever process
+    certifies it; a value may also be a function that returns the exception
+    when called there.  certify runs only on the first pair of each pattern
+    class, so each pair must be one."""
     refs = minors.natural_refs(build_layout(tensors.double_det_spec(2, 2, 2, 2, 2)))
-    bad = (refs[pair[0]], refs[pair[1]])
+    bad = {(refs[i], refs[j]): exc for (i, j), exc in raising.items()}
     certify = spair.Certifier.certify
 
     def failing(self, M, N):
-        if (M, N) == bad:
-            raise exc
+        if (M, N) in bad:
+            exc = bad[M, N]
+            raise exc if isinstance(exc, BaseException) else exc()
         return certify(self, M, N)
     monkeypatch.setattr(spair.Certifier, "certify", failing)
 
 
-class TestCertifyWidth:
-    """certify cuts its pairs into one contiguous chunk per CPU and forks a
-    worker for each chunk after the first; none of that shows."""
+def workers(cpus, classes):
+    """How many workers certify forks: one per CPU, never more than there
+    are classes, and none where that is one."""
+    n = min(cpus, classes)
+    return n if n > 1 else 0
 
-    @pytest.mark.parametrize("text, argv, pairs", [
-        (FOUR_VERTEX, [], 5778),
-        (None, PENCIL_22222, 45),
-        (None, NO_MINORS, 0),
-        (PAGE_2X3, [], 3),
+
+class TestCertifyWidth:
+    """certify cuts its pattern classes into contiguous chunks, about 8 per
+    CPU, forks a worker per CPU, and the workers take chunks from one queue
+    until it is empty; none of that shows."""
+
+    @pytest.mark.parametrize("text, argv, pairs, classes", [
+        (FOUR_VERTEX, [], 5778, 1297),
+        (None, PENCIL_22222, 45, 37),
+        (None, NO_MINORS, 0, 0),
+        (PAGE_2X3, [], 3, 3),
     ], ids=["four-vertex", "pencil", "no-pairs", "fewer-pairs-than-cpus"])
-    def test_same_bytes_at_every_width(self, capsys, tmp_path, cpus, text, argv, pairs):
+    def test_same_bytes_at_every_width(self, capsys, tmp_path, cpus, text, argv, pairs, classes):
         if text is not None:
             q = tmp_path / "layout.q"
             q.write_text(text)
@@ -376,75 +400,99 @@ class TestCertifyWidth:
         else:
             argv = [*argv, "certify"]
         runs = []
-        for n in (1, 2, 4):
+        for n in (1, 2, 4, 8):  # 8 workers race for each queue on fewer CPUs
             forked = cpus(n)
             runs.append(run(capsys, *argv))
-            assert len(forked) == max(min(n, pairs) - 1, 0)
-        assert runs[0] == runs[1] == runs[2]
+            assert len(forked) == workers(n, classes)
+        assert all(r == runs[0] for r in runs)
         code, out, err = runs[0]
         assert code == 0 and err == "" and out.endswith(f"certified: {pairs}/{pairs}\n")
         assert_no_children()
 
     @pytest.mark.parametrize("exc", [DomainError, InputError])
     def test_worker_error_reads_as_serial(self, capsys, cpus, monkeypatch, exc):
-        # (8, 9) is the last of the 45 pairs, in the last worker's chunk; the
-        # lines before it go out in one block, or in blocks of 7 lines
-        fail_on(monkeypatch, (8, 9), exc("no decomposition for this pair"))
+        # (7, 8) is the first pair of the last of the 37 classes, in the last
+        # chunk; the lines before it go out in one block, or in blocks of 7
+        fail_on(monkeypatch, {(7, 8): exc("no decomposition for this pair")})
         runs = []
         for block in (cli._BLOCK_LINES, 7):
             monkeypatch.setattr(cli, "_BLOCK_LINES", block)
             for n in (1, 2, 4):
                 forked = cpus(n)
                 runs.append(run(capsys, *PENCIL_22222, "certify"))
-                assert len(forked) == n - 1
+                assert len(forked) == workers(n, 37)
                 assert_no_children()
         assert all(r == runs[0] for r in runs)
         code, out, err = runs[0]
         assert code == 2 and err == "error: no decomposition for this pair\n"
         lines = out.splitlines()
-        assert len(lines) == 44 and lines[-1].startswith("pair 7 9 ")
+        assert len(lines) == 42 and lines[-1].startswith("pair 6 9 ")
+
+    def test_lowest_failing_class_wins(self, capsys, cpus, monkeypatch):
+        # the classes first met at (1, 2) and (5, 6) both fail; the lower one
+        # fails late, so on more than one CPU another worker has failed on
+        # the higher one first, and the lower one's error is still the one
+        # shown, after the lines before its first pair
+        def late():
+            time.sleep(0.3)
+            return DomainError("the lower class fails")
+        fail_on(monkeypatch, {(1, 2): late, (5, 6): DomainError("the higher class fails")})
+        runs = []
+        for n in (1, 2, 4):
+            forked = cpus(n)
+            runs.append(run(capsys, *PENCIL_22222, "certify"))
+            assert len(forked) == workers(n, 37)
+            assert_no_children()
+        assert all(r == runs[0] for r in runs)
+        code, out, err = runs[0]
+        assert code == 2 and err == "error: the lower class fails\n"
+        lines = out.splitlines()
+        assert len(lines) == 9 and lines[-1].startswith("pair 0 9 ")
+
+    def test_queue_fits_one_page(self):
+        # the chunks of certify (5,5,2,3,3): 168,173 classes; nothing runs
+        for width, chunks in ((1, 8), (2, 16), (4, 32), (128, 1024), (4096, 1024)):
+            bounds = spair._chunk_bounds(168173, width)
+            assert len(bounds) - 1 == chunks and 4 * chunks <= 4096
+            assert bounds[0] == 0 and bounds[-1] == 168173
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+        assert spair._chunk_bounds(3, 4) == [0, 1, 2, 3] and spair._chunk_bounds(0, 4) == [0]
 
     def test_worker_crash_is_raised(self, capsys, cpus, monkeypatch):
-        fail_on(monkeypatch, (8, 9), ValueError("a defect"))
+        fail_on(monkeypatch, {(7, 8): ValueError("a defect")})
         cpus(2)
         with pytest.raises(RuntimeError, match="worker .* failed"):
             main([*PENCIL_22222, "certify"])
         assert_no_children()
 
     def test_interrupt_kills_workers(self, capsys, cpus, monkeypatch):
-        # the parent is interrupted on its first pair while every worker is
-        # stuck in its own first pair
-        parent = os.getpid()
-
-        def build(self, M, N):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
+        # the parent is interrupted while it waits, every worker stuck in its
+        # own first class
+        def chain(self, M, N):
             time.sleep(60)
-        monkeypatch.setattr(spair.Certifier, "build", build)
+        monkeypatch.setattr(spair.Certifier, "_chain", chain)
         forked = cpus(4)
+        fork, parent = os.fork, os.getpid()
+
+        def interrupting_fork():
+            pid = fork()
+            if pid and len(forked) == 4:
+                threading.Timer(0.2, os.kill, (parent, signal.SIGINT)).start()
+            return pid
+        monkeypatch.setattr(os, "fork", interrupting_fork)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             main([*PENCIL_22222, "certify"])
         assert time.monotonic() - start < 30
-        assert len(forked) == 3
+        assert len(forked) == 4
         assert_no_children()
 
 
 def seeded_order_quiver(tmp_path, text, seed):
-    """text with an order file of a random consistent order drawn from seed:
-    each rank goes to a variable whose upper and left neighbours in every
-    vertex matrix are ranked already.  Returns the quiver path."""
+    """text with an order file of the consistent order seeded_rank draws
+    from seed.  Returns the quiver path."""
     layout = build_layout(parse_quiver(text))
-    above = {v: set() for v in range(layout.nvars)}
-    for grid in layout.matrices.values():
-        for p, row in enumerate(grid):
-            for q, v in enumerate(row):
-                above[v].update(([grid[p - 1][q]] if p else []) + ([row[q - 1]] if q else []))
-    rng, rank = random.Random(seed), {}
-    while len(rank) < layout.nvars:
-        ready = sorted(v for v in above if v not in rank and above[v] <= rank.keys())
-        rank[rng.choice(ready)] = len(rank)
-    assert rank != default_order(layout).rank
+    rank = seeded_rank(layout, seed)
     (tmp_path / "order.txt").write_text(
         "".join(f"{layout.var_name(v)} {r}\n" for v, r in rank.items()))
     q = tmp_path / "ordered.q"
@@ -478,14 +526,14 @@ class TestCertifyByClass:
 
     def test_build_runs_once_per_pair_under_another_order(self, capsys, tmp_path, cpus,
                                                           monkeypatch):
-        cpus(1)  # builds are counted in this process only
+        cpus(1)  # chain walks are counted in this process only
         built = Counter()
-        build = spair.Certifier.build
+        chain = spair.Certifier._chain
 
         def counting(self, M, N):
             built[M, N] += 1
-            return build(self, M, N)
-        monkeypatch.setattr(spair.Certifier, "build", counting)
+            return chain(self, M, N)
+        monkeypatch.setattr(spair.Certifier, "_chain", counting)
         quiver = seeded_order_quiver(tmp_path, PENCIL_33222_TEXT, 3)
         code, out, _ = run(capsys, "certify", "--quiver", quiver)
         assert code == 0 and out.endswith("certified: 2556/2556\n")
@@ -513,11 +561,11 @@ class TestCertifyByClass:
             classes.setdefault(certifier.pattern(refs[i], refs[j]), []).append((i, j))
         members = max(classes.values(), key=len)
         rep = refs[members[0][0]], refs[members[0][1]]
-        verify = spair.Certifier.verify
+        ends_hold = spair.Certifier._ends_hold
 
-        def failing(self, cert):
-            return (cert.refs[0], cert.refs[-1]) != rep and verify(self, cert)
-        monkeypatch.setattr(spair.Certifier, "verify", failing)
+        def failing(self, refs):
+            return (refs[0], refs[-1]) != rep and ends_hold(self, refs)
+        monkeypatch.setattr(spair.Certifier, "_ends_hold", failing)
         code, out, _ = run(capsys, *PENCIL_33222, "certify")
         lines = out.splitlines()
         failed = [tuple(map(int, line.split()[1:3])) for line in lines[:-1]

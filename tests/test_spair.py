@@ -16,7 +16,9 @@ from quivergb import spair
 from quivergb.layout import default_order
 from quivergb.tensors import double_det_generators
 
-from conftest import FOUR_VERTEX, MIXED_RANKS, MIXED_SIZES, make_instance, reference_step_verdict
+from conftest import (
+    FOUR_VERTEX, MIXED_RANKS, MIXED_SIZES, make_instance, reference_step_verdict, seeded_rank,
+)
 
 
 # the worked 3x3 example: M = rows(2,3) cols(1,3), N = rows(1,3) cols(2,3)
@@ -710,3 +712,81 @@ class TestPatternKey:
             want = reference_pattern(layout, ord, M, N)
             assert seen.setdefault(run.pattern(M, N), want) == want, (M, N)
         assert len(seen) == len(set(seen.values())) == classes
+
+
+def reference_step(run, F, G):
+    """(mirrored, decomposition) of the chain step (F, G), chosen for that
+    step alone: P(F,G) where its terms lead below the lcm, else P(G,F)
+    mirrored where its terms do, else (None, None)."""
+    d = run.decomposition(F, G)
+    if run.has_small_lts(d):
+        return False, d
+    d = spair._mirror(run.decomposition(G, F))
+    return (True, d) if run.has_small_lts(d) else (None, None)
+
+
+class TestStepClasses:
+    """Certifier decides and verifies the first step it meets of each step
+    class, keyed by pattern, and every other step of the class takes that
+    decision and verdict; each must be the step's own."""
+
+    @pytest.mark.parametrize("instance, steps, classes", [
+        (lambda: pencil_instance(3, 3, 2, 2, 2), 2000, 302),
+        (lambda: pencil_instance(3, 3, 3, 2, 2), 12751, 608),
+        (lambda: make_instance(FOUR_VERTEX), 4255, 678),
+        (lambda: make_instance(MIXED_RANKS), 5129, 1577),
+        (lambda: make_instance("vertices 2\narrow 1 2\nm 5 5\nrank 2 2\n"), 4951, 925),
+    ], ids=["pencil-3x3", "pencil-3x3x3", "four-vertex", "mixed-ranks", "page-5x5"])
+    def test_every_step_met_has_its_own_decision_and_verdict(self, instance, steps, classes):
+        layout, ord = instance()
+        run = spair.Certifier(layout, ord)
+        met, step = set(), run._step
+
+        def recording(F, G):
+            met.add((F, G))
+            return step(F, G)
+        run._step = recording
+        for M, N in combinations(natural_refs(layout), 2):
+            run._chain(M, N)
+        reference = spair.Certifier(layout, ord)
+        for F, G in met:
+            mirrored, d = reference_step(reference, F, G)
+            assert step(F, G) == (mirrored, d is not None and reference._verify_step(F, G, d))
+            if d is not None:
+                assert run._decomposed(F, G) == d, (F, G)
+        assert (len(met), len(run._steps)) == (steps, classes)
+
+    def test_a_failed_step_class_fails_every_chain_through_it(self, monkeypatch):
+        layout, ord = pencil_instance(3, 3, 2, 2, 2)
+        walk = spair.Certifier(layout, ord)
+        chains = {}  # pair -> the step classes of its chain
+        for M, N in combinations(natural_refs(layout), 2):
+            refs = walk._chain(M, N)
+            chains[M, N] = {walk.pattern(F, G) for F, G in zip(refs, refs[1:])}
+        bad = Counter(key for keys in chains.values() for key in keys).most_common(1)[0][0]
+        holds = spair.Certifier._step_holds
+
+        def failing(self, F, G, d):
+            return self.pattern(F, G) != bad and holds(self, F, G, d)
+        monkeypatch.setattr(spair.Certifier, "_step_holds", failing)
+        run = spair.Certifier(layout, ord)
+        failed = {pair for pair in chains if not run.certify(*pair)[1]}
+        assert failed == {pair for pair, keys in chains.items() if bad in keys}
+        assert 1 < len(failed) < len(chains)
+
+    @pytest.mark.parametrize("instance, seed", [
+        (lambda: pencil_instance(3, 3, 2, 2, 2), None),
+        (lambda: pencil_instance(3, 3, 2, 2, 2), 3),
+        (lambda: make_instance(MIXED_RANKS), None),
+    ], ids=["pencil-3x3", "pencil-3x3-seeded-order", "mixed-ranks"])
+    def test_each_pair_certifies_as_its_own_chain(self, instance, seed):
+        # the reference keys every pair and every step by itself, as any
+        # order but the default one does, and verifies each built chain
+        layout, ord = instance()
+        if seed is not None:
+            ord = OrderSpec(seeded_rank(layout, seed))
+        run, reference = spair.Certifier(layout, ord), spair.Certifier(layout, ord)
+        reference._by_class = False
+        for M, N in combinations(natural_refs(layout), 2):
+            cert = reference.build(M, N)
+            assert run.certify(M, N) == (len(cert.refs), reference.verify(cert)), (M, N)
