@@ -96,10 +96,8 @@ def render_quiver(spec):
 class Layout:
     """The variable lattice of a quiver and the vertex matrices over it.
 
-    It holds one memo, filled by minors.minor_leading_term: the diagonal
-    monomial of each minor asked for, a pure function of the ref that every
-    leading-term query reads.  Determinants are not memoised; each call of
-    minors.expand_minor expands afresh."""
+    It holds no memo: minors.minor_leading_term reads each diagonal afresh
+    and minors.expand_minor expands each determinant afresh."""
 
     def __init__(self, spec, pages, var_of, point_of, matrices, roles):
         self.spec = spec
@@ -109,9 +107,6 @@ class Layout:
         self.matrices = matrices    # vertex -> list of rows of VarIds (may be absent)
         self.roles = roles          # vertex -> "sink" | "source"
         self.pos_in_matrix = {}     # (vertex, VarId) -> (p, q)
-        # ref -> diagonal monomial; refs compare by value, so a MinorRef and
-        # a PseudoMinorRef over the same cells share one entry
-        self.diagonals = {}
 
     @property
     def nvars(self):

@@ -143,14 +143,10 @@ def ensure_consistent(layout, ord):
 def minor_leading_term(layout, ref, ord):
     """The leading monomial of a minor, read off its diagonal without
     expanding it.  Under a consistent order the diagonal leads, with
-    coefficient 1, and is the same for every consistent order, so the memo
-    ``layout.diagonals`` keys on the ref alone."""
+    coefficient 1, and is the same for every consistent order."""
     ensure_consistent(layout, ord)
-    mono = layout.diagonals.get(ref)
-    if mono is None:
-        grid = _submatrix(layout, ref)
-        mono = layout.diagonals[ref] = mono_from((grid[i][i], 1) for i in range(len(grid)))
-    return mono
+    grid = _submatrix(layout, ref)
+    return mono_from((grid[i][i], 1) for i in range(len(grid)))
 
 
 def minor_points(layout, ref):

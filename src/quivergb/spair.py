@@ -203,11 +203,15 @@ Decomposition = namedtuple("Decomposition", "M N row_terms col_terms")
 
 
 def _require_orientation(an):
-    roles = an.layout.roles
-    if an.mode != "matrix" and (roles[an.M.vertex], roles[an.N.vertex]) != ("sink", "source"):
-        raise DomainError(
-            "pseudominor decomposition is defined with the sink-side minor first; "
-            "swap the pair")
+    if an.mode == "matrix":
+        return
+    sides = an.layout.roles[an.M.vertex], an.layout.roles[an.N.vertex]
+    if sides[0] == sides[1]:
+        raise DomainError("the two minors share no page: their leading monomials are coprime, "
+                          "and Certifier.decomposition gives the coprime syzygy")
+    if sides[0] == "source":
+        raise DomainError("pseudominor decomposition is defined with the sink-side minor "
+                          "first; swap the pair")
 
 
 def p_row(an, sigma):
@@ -512,9 +516,8 @@ class Certifier:
     keeps, per step class, how its first step met decomposes and whether
     that decomposition verified, so each step class is decided once and
     verified once; build still returns each step's own decomposition.
-    verify checks a certificate from scratch: it takes a step as verified
-    only when the certificate's decomposition equals one it verified before
-    by value, and verifies any other in full.
+    verify checks a certificate from scratch, every step of it in full, so
+    its verdict never rests on an earlier one.
 
     Build and verify both work on monomials packed by the run's own
     MonomialCodec.  Each distinct ref is expanded once per run, into the
@@ -523,10 +526,10 @@ class Certifier:
     again and packs what it needs afresh.  The order is checked for
     consistency once, here, before any verdict.
 
-    certify(M, N) goes further: it walks one chain per pattern class of
-    pairs (see pattern), as build does, and gives its verdict, read off the
-    step classes, to every other pair of the class.  pair_classes numbers
-    the classes of every pair of a list of refs."""
+    certify(M, N) walks the chain of (M, N) as build does, and reads its
+    verdict off the step classes.  pair_classes numbers the pattern classes
+    of every pair of a list of refs, so that a caller certifies one pair per
+    class and gives its verdict to the rest of the class."""
 
     def __init__(self, layout, ord, field=QQ):
         ensure_consistent(layout, ord)
@@ -535,8 +538,6 @@ class Certifier:
         self.field = field
         self.codec = MonomialCodec(ord)
         self._steps = {}      # step pattern -> (how it decomposes, verified), see _step
-        self._verified = {}   # (F, G) -> the Decomposition verified for it
-        self._certified = {}  # pattern -> (chain length, verified)
         # pairs share a pattern class only under the default order
         self._by_class = ord.rank == default_order(layout).rank
         self._diags = {}      # ref -> its Diagonal
@@ -707,18 +708,12 @@ class Certifier:
             return self.pattern(M, N)
 
     def certify(self, M, N):
-        """(the length of the chain of (M, N), whether it verifies), worked
-        out once per pattern class and kept for the run.  The chain is the
-        one build walks, and it verifies when its end-point checks pass and
-        every step class on it verified."""
-        key = self.pattern(M, N)
-        found = self._certified.get(key)
-        if found is None:
-            refs = self._chain(M, N)
-            ok = (self.codec.run(self._ends_hold, refs)
-                  and all(self._step(F, G)[1] for F, G in zip(refs, refs[1:])))
-            found = self._certified[key] = (len(refs), ok)
-        return found
+        """(the length of the chain of (M, N), whether it verifies).  The
+        chain is the one build walks, and it verifies when its end-point
+        checks pass and every step class on it verified."""
+        refs = self._chain(M, N)
+        return len(refs), (self.codec.run(self._ends_hold, refs)
+                           and all(self._step(F, G)[1] for F, G in zip(refs, refs[1:])))
 
     def pair_classes(self, refs):
         """The pattern class of every pair (i, j) of refs, i < j, in pair
@@ -799,14 +794,7 @@ class Certifier:
         return not any((top - lm) & guard for lm in lms)
 
     def _verify_step(self, F, G, d):
-        if d.M != F or d.N != G:
-            return False
-        if self._verified.get((F, G)) == d:
-            return True
-        if not self.codec.run(self._step_holds, F, G, d):
-            return False
-        self._verified[(F, G)] = d
-        return True
+        return d.M == F and d.N == G and self.codec.run(self._step_holds, F, G, d)
 
     def _step_holds(self, F, G, d):
         """Whether d expands to S(F, G) and each of its terms leads below

@@ -114,13 +114,30 @@ class TestDecomposition:
 
     def test_pair_of_two_sinks_refused(self):
         # cosets are defined for a sink-side minor paired with a source-side
-        # one; vertices 3 and 4 of the four-vertex quiver are both sinks
+        # one; vertices 3 and 4 of the four-vertex quiver are both sinks, 1
+        # and 2 both sources, and in neither order do two minors there share
+        # a page, so the refusal names the coprime syzygy
         layout, ord = make_instance(FOUR_VERTEX)
-        an = spair.analyze(layout, MinorRef(3, (1, 2), (1, 2)), MinorRef(4, (1, 2), (1, 2)), ord)
-        for build in (lambda: spair.p_row(an, {}), lambda: spair.p_col(an, {}),
-                      lambda: spair._coset_decomposition(an)):
-            with pytest.raises(DomainError, match="sink-side minor first"):
-                build()
+        for u, w in ((3, 4), (4, 3), (1, 2), (2, 1)):
+            M, N = MinorRef(u, (1, 2), (1, 2)), MinorRef(w, (1, 2), (1, 2))
+            an = spair.analyze(layout, M, N, ord)
+            for build in (lambda: spair.p_row(an, {}), lambda: spair.p_col(an, {}),
+                          lambda: spair._coset_decomposition(an)):
+                with pytest.raises(DomainError, match="share no page: their leading "
+                                                      "monomials are coprime"):
+                    build()
+            d = spair.Certifier(layout, ord).decomposition(M, N)
+            assert spair.expand_decomposition(layout, d) == s_polynomial(
+                expand_minor(layout, M), expand_minor(layout, N), ord)
+
+    def test_source_first_pair_asked_to_swap(self):
+        # analyze puts a source/sink pair sink-first; an analysis left
+        # source-first is refused with the way out
+        layout, ord = make_instance(FOUR_VERTEX)
+        an = spair.analyze(layout, MinorRef(3, (1, 2), (1, 2)), MinorRef(1, (1, 2), (1, 2)), ord)
+        an = an._replace(M=an.N, N=an.M)
+        with pytest.raises(DomainError, match="sink-side minor first; swap the pair"):
+            spair.p_row(an, {})
 
     def test_identity_gives_cofactor_times_minor(self, single_3x3):
         layout, ord = single_3x3
@@ -421,6 +438,22 @@ class TestRunCertifier:
         assert run.verify(cert)
         forged = spair.ChainCertificate(cert.refs, [forge(layout, cert.steps[0])])
         assert not run.verify(forged)
+        assert run.verify(cert)
+
+    def test_flipped_sign_between_genuine_verifications(self):
+        # each verification stands alone: a step that verified before does
+        # not vouch for an altered copy, nor a rejected copy against the
+        # genuine step
+        layout, ord = make_instance(FOUR_VERTEX)
+        refs = natural_refs(layout)
+        run = spair.Certifier(layout, ord)
+        cert = next(c for A, B in combinations(refs, 2)
+                    for c in [run.build(A, B)] if c.steps and c.steps[0].row_terms)
+        d = cert.steps[0]
+        first = d.row_terms[0]
+        flipped = d._replace(row_terms=(first._replace(sign=-first.sign),) + d.row_terms[1:])
+        assert run.verify(cert)
+        assert not run.verify(spair.ChainCertificate(cert.refs, [flipped] + cert.steps[1:]))
         assert run.verify(cert)
 
     def test_inconsistent_order_refused_before_any_verdict(self, single_3x3):
